@@ -6,8 +6,9 @@ schema_version field) or CSV; the figure subcommand emits an SVG of the
 planar extremal construction.  All output is deterministic for a fixed
 configuration and seed.
 
-Exit codes: 0 success, 2 usage/validation, 3 hypothesis violation,
-4 budget exhaustion, 5 I/O failure.
+Exit codes: 0 success, 1 Jung counterexample found (verify), 2
+usage/validation, 3 hypothesis violation, 4 budget exhaustion, 5 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .geometry import jung_radius
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
@@ -154,23 +156,23 @@ def cmd_radius(args) -> int:
     return EXIT_OK
 
 
-def _displacement_rows(extremal: maps.ExtremalMap, spec: oracle.GridSpec, budget: int):
-    for chunk in oracle.iter_ball_grid(spec, budget):
-        disp = np.linalg.norm(chunk - extremal.batch(chunk), axis=1)
-        yield chunk, disp
+def _write_displacement_csv(extremal: maps.ExtremalMap, args) -> None:
+    """One CSV row per ball grid point: its coordinates and displacement."""
+    spec = oracle.GridSpec(dim=args.n, points_per_axis=args.resolution)
+    lines = [",".join(f"x{i}" for i in range(args.n)) + ",displacement"]
+    for chunk, disp in oracle.displacement_rows(extremal, spec, args.budget):
+        for row, d in zip(chunk, disp):
+            lines.append(",".join(repr(float(v)) for v in row) + f",{float(d)!r}")
+    _write_output("\n".join(lines) + "\n", args.out)
 
 
 def cmd_extremal(args) -> int:
     extremal = maps.ExtremalMap(dim=args.n, eps=args.eps)
-    spec = oracle.GridSpec(dim=args.n, points_per_axis=args.resolution)
     if args.format == "csv":
-        lines = [",".join(f"x{i}" for i in range(args.n)) + ",displacement"]
-        for chunk, disp in _displacement_rows(extremal, spec, args.budget):
-            for row, d in zip(chunk, disp):
-                lines.append(",".join(repr(float(v)) for v in row) + f",{float(d)!r}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_displacement_csv(extremal, args)
         return EXIT_OK
-    report_data = oracle.tightness_report(args.n, args.eps, spec=spec, budget=args.budget)
+    report_data = oracle.tightness_report(args.n, args.eps, points_per_axis=args.resolution,
+                                          budget=args.budget)
     report = {
         "schema_version": SCHEMA_VERSION,
         "report": "extremal",
@@ -189,7 +191,8 @@ def _build_map(args):
         sampled = load_sampled_map(args.map_file)
         if args.eps is None and sampled.eps is None:
             raise DomainError("sampled-map file carries no eps; pass --eps")
-        return _NearestSampleMap(sampled), sampled.dim, args.eps or sampled.eps
+        eps = args.eps if args.eps is not None else sampled.eps
+        return _NearestSampleMap(sampled), sampled.dim, eps
     if args.eps is None:
         raise DomainError("--eps is required for built-in maps")
     name = args.map
@@ -255,8 +258,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = oracle.GridSpec(dim=args.n, points_per_axis=args.resolution)
-    report_data = oracle.tightness_report(args.n, args.eps, spec=spec, budget=args.budget)
+    report_data = oracle.tightness_report(args.n, args.eps, points_per_axis=args.resolution,
+                                          budget=args.budget)
     counterexample = oracle.jung_random_test(args.n, args.trials, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -270,15 +273,10 @@ def cmd_verify(args) -> int:
         },
     }
     if args.format == "csv":
-        extremal = maps.ExtremalMap(dim=args.n, eps=args.eps)
-        lines = [",".join(f"x{i}" for i in range(args.n)) + ",displacement"]
-        for chunk, disp in _displacement_rows(extremal, spec, args.budget):
-            for row, d in zip(chunk, disp):
-                lines.append(",".join(repr(float(v)) for v in row) + f",{float(d)!r}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_displacement_csv(maps.ExtremalMap(dim=args.n, eps=args.eps), args)
     else:
         _write_output(_dumps(report), args.out)
-    return EXIT_OK if counterexample is None else 1
+    return EXIT_OK if counterexample is None else EXIT_COUNTEREXAMPLE
 
 
 def _svg_point(angle: float, radius: float) -> tuple[float, float]:

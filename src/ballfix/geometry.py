@@ -1,8 +1,8 @@
 """Euclidean geometry on the unit ball.
 
 Provides the Jung constant, inscribed regular simplices, point-set
-diameters, exact minimal enclosing balls for small dimensions, and
-convex-combination evaluation with a nearest-support-point query.
+diameters, exact minimal enclosing balls for small dimensions, convex
+combinations with a nearest-support-point query, and the ball lattice.
 
 All operations are pure functions; vectors are plain numpy float arrays
 treated as immutable values.
@@ -30,14 +30,25 @@ __all__ = [
     "PointSet",
     "as_points",
     "as_vector",
+    "ball_lattice",
+    "check_dim",
+    "cube_lattice",
     "diameter",
     "eval_combination",
     "jung_nearest",
     "jung_radius",
     "min_enclosing_ball",
     "pairwise_diameter",
+    "random_ball_points",
     "regular_simplex_vertices",
 ]
+
+
+def check_dim(n) -> int:
+    """The dimension as an int; rejects anything but a positive integer."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def as_vector(coords) -> np.ndarray:
@@ -131,8 +142,7 @@ def jung_radius(n: int) -> float:
     decreasing monotonically towards sqrt(2).  Jung's theorem: any set of
     diameter d lies in a closed ball of radius d / jung_radius(n).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
+    check_dim(n)
     return math.sqrt(2.0 * (n + 1) / n)
 
 
@@ -147,8 +157,7 @@ def regular_simplex_vertices(n: int) -> PointSet:
     lexicographically so the ordering is reproducible; for n = 1 this
     yields (-1,), (+1,).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
+    n = check_dim(n)
     centered = np.eye(n + 1) - 1.0 / (n + 1)
     # The first n centered basis vectors are linearly independent and span
     # the sum-zero hyperplane; QR gives an orthonormal basis of it.
@@ -164,6 +173,33 @@ def diameter(points) -> float:
     if isinstance(points, PointSet):
         return points.diameter
     return pairwise_diameter(points)
+
+
+# --- ball lattice and sampler ----------------------------------------------
+
+
+def cube_lattice(axis: np.ndarray, dim: int) -> np.ndarray:
+    """All points of axis^dim as rows, the last coordinate varying fastest."""
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def ball_lattice(pts: np.ndarray, spacing: float) -> np.ndarray:
+    """Rows with norm <= 1, then the rows within a cell half-diagonal
+    outside the sphere projected radially onto it, both in input order.
+    Projection onto the ball is 1-Lipschitz, so the lattice's covering
+    radius survives, and the sphere, where behavior changes, is sampled."""
+    norms = np.linalg.norm(pts, axis=1)
+    half_diag = spacing * math.sqrt(pts.shape[1]) / 2.0
+    shell = (norms > 1.0) & (norms <= 1.0 + half_diag)
+    return np.concatenate([pts[norms <= 1.0], pts[shell] / norms[shell, None]], axis=0)
+
+
+def random_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """Uniform samples from the unit ball (Gaussian direction, radial cdf)."""
+    gauss = rng.standard_normal((count, dim))
+    gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+    return gauss * (rng.random((count, 1)) ** (1.0 / dim))
 
 
 # --- minimal enclosing ball -------------------------------------------------

@@ -3,7 +3,8 @@
 Houses the two discontinuous reference constructions (the 1-D step map
 and the Voronoi extremal map), finitely sampled maps, and diagnostics:
 image diameters, a ball-based modulus-of-discontinuity estimator, and the
-1-D two-sided discontinuity-witness search.
+1-D two-sided discontinuity-witness search.  Every map has `__call__` for
+one point and `batch` for rows of points; grids and sweeps use `batch`.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, InvalidDimensionError
+from .errors import BudgetExceededError, DomainError, InvalidDimensionError
 from .geometry import (
     TOL_GEOM,
     PointSet,
     as_points,
     as_vector,
+    ball_lattice,
+    check_dim,
+    cube_lattice,
     jung_radius,
     pairwise_diameter,
+    random_ball_points,
     regular_simplex_vertices,
 )
 
@@ -43,6 +48,7 @@ __all__ = [
     "eps_fixed_indices",
     "image_diameter",
     "modulus_estimate",
+    "neighborhood_diameter",
     "sample_map_on_grid",
 ]
 
@@ -120,9 +126,7 @@ class ExtremalMap:
     vertices: PointSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise InvalidDimensionError(f"dimension must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_dim(self.dim))
         object.__setattr__(self, "eps", _check_eps(self.eps))
         if self.tie_break not in _TIE_RULES:
             raise ValueError(f"tie_break must be one of {_TIE_RULES}, got {self.tie_break!r}")
@@ -243,30 +247,22 @@ class SampledMap:
         """Max distance from random ball probes to the sample set; the
         covering claim holds on this sample of probes iff the result is
         at most covering_radius."""
-        rng = np.random.default_rng(seed)
-        n = self.dim
-        gauss = rng.standard_normal((probes, n))
-        gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-        radii = rng.random(probes) ** (1.0 / n)
-        tree = cKDTree(self.points)
-        dists, _ = tree.query(gauss * radii[:, None])
+        probe_points = random_ball_points(np.random.default_rng(seed), self.dim, probes)
+        dists, _ = cKDTree(self.points).query(probe_points)
         return float(dists.max())
 
 
 def sample_map_on_grid(f, dim: int, spacing: float, eps: float | None = None) -> SampledMap:
-    """Sample a map on a uniform axis grid over [-1, 1]^dim clipped to the
-    ball (1-D: the full interval).  Covering radius is the half-diagonal of
-    a grid cell."""
+    """Sample a map on the ball lattice of a uniform axis grid over
+    [-1, 1]^dim (1-D: the full interval).  Covering radius is the
+    half-diagonal of a grid cell."""
     if spacing <= 0:
         raise DomainError(f"spacing must be positive, got {spacing}")
     count = int(np.floor(2.0 / spacing)) + 1
     axis = np.linspace(-1.0, 1.0, count)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0 + TOL_GEOM]
-    values = f.batch(pts) if hasattr(f, "batch") else np.asarray([as_vector(f(p)) for p in pts])
     step = float(axis[1] - axis[0]) if count > 1 else 2.0
-    return SampledMap(pts, values, covering_radius=step * np.sqrt(dim) / 2.0, eps=eps)
+    pts = ball_lattice(cube_lattice(axis, dim), step)
+    return SampledMap(pts, f.batch(pts), covering_radius=step * np.sqrt(dim) / 2.0, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -309,29 +305,50 @@ def image_diameter(m) -> float:
     raise TypeError(f"no finite image set known for {type(m).__name__}")
 
 
+def neighborhood_diameter(points: np.ndarray, values: np.ndarray, r: float,
+                          budget: int | None = None) -> float:
+    """Max over points z of the diameter of the values within distance r
+    of z.  Exact from per-value nearest-distance fields for few distinct
+    values (the constructed maps); otherwise a direct neighborhood scan of
+    at most `budget` visited points."""
+    distinct, labels = np.unique(values, axis=0, return_inverse=True)
+    k = distinct.shape[0]
+    if k == 1:
+        return 0.0
+    if k <= 64 and k * points.shape[0] <= (1 << 27):
+        # A value pair contributes iff some point is within r of a point
+        # carrying each; nearest-distance fields decide that exactly.
+        near = np.empty((k, points.shape[0]), dtype=bool)
+        for label in range(k):
+            tree = cKDTree(points[labels == label])
+            near[label] = tree.query(points, workers=-1)[0] <= r
+        pair_dist = np.linalg.norm(distinct[:, None, :] - distinct[None, :, :], axis=-1)
+        best = 0.0
+        for a in range(k):
+            for b in range(a + 1, k):
+                if np.any(near[a] & near[b]):
+                    best = max(best, float(pair_dist[a, b]))
+        return best
+    tree = cKDTree(points)
+    best = 0.0
+    scanned = 0
+    for idx in tree.query_ball_point(points, r):
+        scanned += len(idx)
+        if budget is not None and scanned > budget:
+            raise BudgetExceededError(
+                f"neighborhood scan exceeded the budget of {budget} evaluations",
+                limit=budget, required=scanned)
+        if len(idx) > 1:
+            best = max(best, pairwise_diameter(values[idx]))
+    return best
+
+
 def modulus_estimate(m: SampledMap, r: float) -> ModulusEstimate:
     """Max over samples z of the image diameter of the closed ball of
     radius r around z, intersected with the sample set."""
     if r <= 0:
         raise DomainError(f"neighborhood radius must be positive, got {r}")
-    values, labels = np.unique(m.values, axis=0, return_inverse=True)
-    k = values.shape[0]
-    tree = cKDTree(m.points)
-    neighborhoods = tree.query_ball_point(m.points, r)
-    if k <= 64:
-        # Few distinct values: reduce every neighborhood to its label set.
-        pair_dist = np.linalg.norm(values[:, None, :] - values[None, :, :], axis=-1)
-        best = 0.0
-        for idx in neighborhoods:
-            present = np.unique(labels[idx])
-            if present.size > 1:
-                best = max(best, float(pair_dist[np.ix_(present, present)].max()))
-        return ModulusEstimate(scale=float(r), value=best)
-    best = 0.0
-    for idx in neighborhoods:
-        if len(idx) > 1:
-            best = max(best, pairwise_diameter(m.values[idx]))
-    return ModulusEstimate(scale=float(r), value=best)
+    return ModulusEstimate(scale=float(r), value=neighborhood_diameter(m.points, m.values, r))
 
 
 def eps_fixed_indices(m: SampledMap, eps_prime: float) -> np.ndarray:

@@ -12,11 +12,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import BudgetExceededError, DomainError, InvalidDimensionError
-from .geometry import TOL_GEOM, jung_radius, pairwise_diameter
-from .maps import ExtremalMap
+from .errors import BudgetExceededError, DomainError
+from .geometry import (
+    TOL_GEOM,
+    ball_lattice,
+    check_dim,
+    cube_lattice,
+    jung_radius,
+    pairwise_diameter,
+    random_ball_points,
+)
+from .maps import ExtremalMap, neighborhood_diameter
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -26,11 +33,11 @@ __all__ = [
     "JungCounterexample",
     "TightnessReport",
     "ball_grid",
+    "displacement_rows",
     "iter_ball_grid",
     "jung_random_test",
     "min_displacement_grid",
     "modulus_grid",
-    "random_ball_points",
     "tightness_report",
 ]
 
@@ -41,11 +48,9 @@ class GridSpec:
 
     dim: int
     points_per_axis: int
-    clip: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise InvalidDimensionError(f"dimension must be a positive integer, got {self.dim!r}")
+        check_dim(self.dim)
         if self.points_per_axis < 2:
             raise ValueError(f"points_per_axis must be at least 2, got {self.points_per_axis}")
 
@@ -58,36 +63,22 @@ class GridSpec:
         return 2.0 / (self.points_per_axis - 1)
 
 
-def _check_budget(spec: GridSpec, budget: int) -> None:
+def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
+    """Yield the ball lattice of the grid in slabs of constant first
+    coordinate, deterministic order; one slab at a time keeps memory at a
+    slab's size."""
     if spec.total_points > budget:
         raise BudgetExceededError(
             f"grid of {spec.total_points} points exceeds the budget of {budget}",
             limit=budget, required=spec.total_points)
-
-
-def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
-    """Yield the grid in slabs of constant first coordinate, deterministic
-    order.  Clipping keeps points with norm <= 1 and adds the radial
-    projections of the shell just outside (the sphere carries behavior the
-    sweeps must see)."""
-    _check_budget(spec, budget)
     axis = np.linspace(-1.0, 1.0, spec.points_per_axis)
-    half_diag = spec.grid_step * math.sqrt(spec.dim) / 2.0
     if spec.dim == 1:
-        yield axis[:, None]
+        yield ball_lattice(axis[:, None], spec.grid_step)
         return
-    rest = np.meshgrid(*([axis] * (spec.dim - 1)), indexing="ij")
-    rest = np.stack([g.ravel() for g in rest], axis=1)
+    rest = cube_lattice(axis, spec.dim - 1)
     for x0 in axis:
         slab = np.concatenate([np.full((rest.shape[0], 1), x0), rest], axis=1)
-        if not spec.clip:
-            yield slab
-            continue
-        norms = np.linalg.norm(slab, axis=1)
-        inside = slab[norms <= 1.0]
-        shell = (norms > 1.0) & (norms <= 1.0 + half_diag)
-        projected = slab[shell] / norms[shell, None]
-        chunk = np.concatenate([inside, projected], axis=0)
+        chunk = ball_lattice(slab, spec.grid_step)
         if chunk.shape[0]:
             yield chunk
 
@@ -97,10 +88,10 @@ def ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     return np.concatenate(list(iter_ball_grid(spec, budget)), axis=0)
 
 
-def _eval_rows(f, pts: np.ndarray) -> np.ndarray:
-    if hasattr(f, "batch"):
-        return np.asarray(f.batch(pts), dtype=float)
-    return np.asarray([np.atleast_1d(np.asarray(f(p), dtype=float)) for p in pts])
+def displacement_rows(f, spec: GridSpec, budget: int = DEFAULT_BUDGET):
+    """Yield each slab of the ball grid with ||x - f(x)|| for its rows."""
+    for chunk in iter_ball_grid(spec, budget):
+        yield chunk, np.linalg.norm(chunk - f.batch(chunk), axis=1)
 
 
 def min_displacement_grid(f, spec: GridSpec,
@@ -109,8 +100,7 @@ def min_displacement_grid(f, spec: GridSpec,
     scan order wins, so results are reproducible."""
     best_val = math.inf
     best_point = None
-    for chunk in iter_ball_grid(spec, budget):
-        disp = np.linalg.norm(chunk - _eval_rows(f, chunk), axis=1)
+    for chunk, disp in displacement_rows(f, spec, budget):
         i = int(np.argmin(disp))
         if float(disp[i]) < best_val:
             best_val = float(disp[i])
@@ -145,15 +135,11 @@ class TightnessReport:
         }
 
 
-def tightness_report(dim: int, eps: float, spec: GridSpec | None = None,
-                     points_per_axis: int = 201,
+def tightness_report(dim: int, eps: float, points_per_axis: int = 201,
                      budget: int = DEFAULT_BUDGET) -> TightnessReport:
     """Sweep the extremal map and report how closely the grid minimum
     approaches eps / jung_radius(dim) from above."""
-    if spec is None:
-        spec = GridSpec(dim=dim, points_per_axis=points_per_axis)
-    if spec.dim != dim:
-        raise ValueError(f"spec dimension {spec.dim} != {dim}")
+    spec = GridSpec(dim=dim, points_per_axis=points_per_axis)
     extremal = ExtremalMap(dim=dim, eps=eps)
     argmin, value = min_displacement_grid(extremal, spec, budget=budget)
     bound = eps / jung_radius(dim)
@@ -181,13 +167,6 @@ class JungCounterexample:
     bound: float
 
 
-def random_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """Uniform samples from the unit ball (Gaussian direction, radial cdf)."""
-    gauss = rng.standard_normal((count, dim))
-    gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-    return gauss * (rng.random((count, 1)) ** (1.0 / dim))
-
-
 def jung_random_test(dim: int, trials: int, points_per_set: int = 10,
                      seed: int = 0) -> JungCounterexample | None:
     """Randomized certification that every convex combination of a point set
@@ -213,44 +192,11 @@ def jung_random_test(dim: int, trials: int, points_per_set: int = 10,
 
 def modulus_grid(f, r: float, spec: GridSpec, budget: int = DEFAULT_BUDGET) -> float:
     """Ball-based modulus estimate on the exhaustive grid: the largest image
-    diameter over radius-r neighborhoods of grid points.
-
-    For maps with few distinct values (the constructed maps) this is
-    computed exactly from per-value nearest-distance fields; otherwise each
-    neighborhood is scanned directly.
+    diameter over radius-r neighborhoods of grid points (see
+    maps.neighborhood_diameter; the budget also caps the neighborhood scan).
     """
     if r <= spec.grid_step:
         raise DomainError(
             f"neighborhood radius {r} must exceed the grid step {spec.grid_step}")
     pts = ball_grid(spec, budget)
-    vals = _eval_rows(f, pts)
-    values, labels = np.unique(vals, axis=0, return_inverse=True)
-    k = values.shape[0]
-    if k == 1:
-        return 0.0
-    if k <= 64 and k * pts.shape[0] <= (1 << 27):
-        # A value pair contributes iff some grid point is within r of a
-        # sample of each; nearest-distance fields decide that exactly.
-        near = np.empty((k, pts.shape[0]), dtype=bool)
-        for label in range(k):
-            tree = cKDTree(pts[labels == label])
-            near[label] = tree.query(pts, workers=-1)[0] <= r
-        pair_dist = np.linalg.norm(values[:, None, :] - values[None, :, :], axis=-1)
-        best = 0.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                if np.any(near[a] & near[b]):
-                    best = max(best, float(pair_dist[a, b]))
-        return best
-    tree = cKDTree(pts)
-    best = 0.0
-    scanned = 0
-    for i, idx in enumerate(tree.query_ball_point(pts, r)):
-        scanned += len(idx)
-        if scanned > budget:
-            raise BudgetExceededError(
-                f"neighborhood scan exceeded the budget of {budget} evaluations",
-                limit=budget, required=scanned)
-        if len(idx) > 1:
-            best = max(best, pairwise_diameter(vals[idx]))
-    return best
+    return neighborhood_diameter(pts, f.batch(pts), r, budget)

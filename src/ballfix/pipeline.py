@@ -26,7 +26,15 @@ from .errors import (
     HypothesisError,
     NoConvergenceError,
 )
-from .geometry import TOL_GEOM, ConvexCombination, as_points, as_vector, jung_radius
+from .geometry import (
+    TOL_GEOM,
+    ConvexCombination,
+    as_vector,
+    ball_lattice,
+    cube_lattice,
+    jung_radius,
+    random_ball_points,
+)
 from .maps import SampledMap
 
 # Grid spacing is alpha/sqrt(dim) * (1 - GRID_SAFETY).  The safety margin
@@ -57,6 +65,17 @@ __all__ = [
 ]
 
 
+def _check_hypothesis(dim: int, eps: float, eps_prime: float) -> float:
+    """jung_radius(dim), once eps is in (0, 2] and eps_prime above eps/R."""
+    radius = jung_radius(dim)
+    if not (0.0 < eps <= 2.0):
+        raise DomainError(f"eps must lie in (0, 2], got {eps}")
+    if eps_prime <= eps / radius:
+        raise HypothesisError(
+            f"eps_prime={eps_prime} must exceed eps/jung_radius(dim)={eps / radius}")
+    return radius
+
+
 @dataclass(frozen=True)
 class PipelineParams:
     """Validated parameter bundle for one pipeline run.
@@ -80,13 +99,7 @@ class PipelineParams:
     fp_tol: float
 
     def __post_init__(self):
-        radius = jung_radius(self.dim)
-        if not (0.0 < self.eps <= 2.0):
-            raise DomainError(f"eps must lie in (0, 2], got {self.eps}")
-        if self.eps_prime <= self.eps / radius:
-            raise HypothesisError(
-                f"eps_prime={self.eps_prime} is not above the optimal bound "
-                f"eps/R={self.eps / radius}")
+        radius = _check_hypothesis(self.dim, self.eps, self.eps_prime)
         if not (0.0 < self.gamma < radius * self.eps_prime - self.eps):
             raise DomainError(
                 f"gamma={self.gamma} outside (0, {radius * self.eps_prime - self.eps})")
@@ -193,12 +206,6 @@ class EpsFixedPointCertificate:
     anchor_term: float = 0.0
 
 
-def _eval_map(f, pts: np.ndarray) -> np.ndarray:
-    if hasattr(f, "batch"):
-        return np.asarray(f.batch(pts), dtype=float)
-    return np.asarray([as_vector(f(p)) for p in pts], dtype=float)
-
-
 def _min_feasible_alpha(dim: int, max_points: int) -> float:
     per_axis = max(2.0, max_points ** (1.0 / dim))
     spacing = 2.0 / (per_axis - 1.0)
@@ -210,10 +217,9 @@ def build_sample_grid(f, dim: int, alpha: float,
     """Sample f on an axis-aligned grid fine enough that alpha/2-balls
     centered at the samples cover the unit ball.
 
-    Grid points outside the ball but within a cell half-diagonal of it are
-    projected radially onto the sphere, which preserves the covering bound
-    (metric projection onto a convex set is 1-Lipschitz).  f is evaluated
-    exactly once per retained sample.
+    The samples are the ball lattice of the grid (geometry.ball_lattice),
+    so the shell just outside the sphere is projected onto it and the
+    covering bound holds.  f is evaluated exactly once per retained sample.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -230,16 +236,8 @@ def build_sample_grid(f, dim: int, alpha: float,
             min_feasible_alpha=_min_feasible_alpha(dim, max_points),
         )
     axis = np.arange(-half_count, half_count + 1) * spacing
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    norms = np.linalg.norm(pts, axis=1)
-    inside = pts[norms <= 1.0]
-    half_diag = spacing * math.sqrt(dim) / 2.0
-    shell = (norms > 1.0) & (norms <= 1.0 + half_diag)
-    projected = pts[shell] / norms[shell, None]
-    samples = np.concatenate([inside, projected], axis=0)
-    values = _eval_map(f, samples)
-    sampled = SampledMap(samples, values, covering_radius=alpha / 2.0,
+    samples = ball_lattice(cube_lattice(axis, dim), spacing)
+    sampled = SampledMap(samples, f.batch(samples), covering_radius=alpha / 2.0,
                          eps=getattr(f, "eps", None))
     return SampleGrid(sampled, alpha=alpha, spacing=spacing)
 
@@ -310,9 +308,7 @@ def averaged_map(grid: SampleGrid):
 
 
 def _ball_grid_points(dim: int, per_axis: int, center: np.ndarray, span: float) -> np.ndarray:
-    axis = np.linspace(-span, span, per_axis)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = center + np.stack([g.ravel() for g in grids], axis=1)
+    pts = center + cube_lattice(np.linspace(-span, span, per_axis), dim)
     norms = np.linalg.norm(pts, axis=1)
     outside = norms > 1.0
     pts[outside] /= norms[outside, None]
@@ -367,12 +363,9 @@ def find_fixed_point(F, dim: int, fp_tol: float = 1e-6,
             else:
                 return  # no damping level makes progress from here
 
-    rng = np.random.default_rng(seed)
     starts = [np.zeros(dim)]
     starts += list(0.5 * np.eye(dim)) + list(-0.5 * np.eye(dim))
-    gauss = rng.standard_normal((6, dim))
-    gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-    starts += list(gauss * rng.random((6, 1)) ** (1.0 / dim))
+    starts += list(random_ball_points(np.random.default_rng(seed), dim, 6))
 
     for y0 in starts:
         damped(np.asarray(y0, dtype=float))
@@ -465,12 +458,7 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
     displacement is re-evaluated directly on f, not trusted from grid
     internals.
     """
-    radius = jung_radius(dim)
-    if not (0.0 < eps <= 2.0):
-        raise DomainError(f"eps must lie in (0, 2], got {eps}")
-    if eps_prime <= eps / radius:
-        raise HypothesisError(
-            f"eps_prime={eps_prime} must exceed eps/jung_radius(dim)={eps / radius}")
+    radius = _check_hypothesis(dim, eps, eps_prime)
     gamma = (radius * eps_prime - eps) / 2.0
     arithmetic_room = gamma / radius - fp_tol  # required: alpha/2 < this
     if arithmetic_room <= 0:

@@ -13,8 +13,8 @@ import pytest
 
 import ballfix as bf
 from ballfix.cli import main as cli_main
-from ballfix.geometry import TOL_GEOM
-from ballfix.oracle import GridSpec, random_ball_points
+from ballfix.geometry import TOL_GEOM, random_ball_points
+from ballfix.oracle import GridSpec
 from ballfix.pipeline import averaged_map_eval, build_sample_grid, embed
 
 

@@ -5,8 +5,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from ballfix import oracle
 from ballfix.cli import (
     EXIT_BUDGET,
+    EXIT_COUNTEREXAMPLE,
     EXIT_HYPOTHESIS,
     EXIT_IO,
     EXIT_OK,
@@ -141,6 +143,15 @@ def test_pipeline_sampled_file_roundtrip(tmp_path):
     assert read_json(out)["certificate"]["displacement"] < 0.6
 
 
+def test_pipeline_map_file_eps_zero_is_rejected(tmp_path, capsys):
+    # an explicit --eps overrides the file's eps, zero included
+    path = tmp_path / "step.json"
+    dump_sampled_map(sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0), str(path))
+    assert run_cli("pipeline", "--map-file", str(path), "--eps", "0",
+                   "--eps-prime", "0.6") == EXIT_USAGE
+    assert "eps must lie in (0, 2], got 0.0" in capsys.readouterr().err
+
+
 # --- verify -------------------------------------------------------------------
 
 
@@ -152,6 +163,17 @@ def test_verify_report(tmp_path):
     assert report["jung_test"]["passed"] is True
     t = report["tightness"]
     assert -1e-9 <= t["gap"] <= 2 * t["grid_step"]
+
+
+def test_verify_counterexample_exit(tmp_path, monkeypatch):
+    found = oracle.JungCounterexample(
+        points=np.array([[0.0, 0.0]]), weights=np.array([1.0]),
+        combination_point=np.array([0.5, 0.0]), nearest_distance=0.5, bound=0.0)
+    monkeypatch.setattr(oracle, "jung_random_test", lambda *args, **kwargs: found)
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", "--n", "2", "--resolution", "21", "--trials", "10",
+                   "--out", str(out)) == EXIT_COUNTEREXAMPLE
+    assert read_json(out)["jung_test"]["passed"] is False
 
 
 def test_verify_budget_exit():

@@ -14,9 +14,9 @@ from ballfix.geometry import (
     jung_nearest,
     jung_radius,
     min_enclosing_ball,
+    random_ball_points,
     regular_simplex_vertices,
 )
-from ballfix.oracle import random_ball_points
 
 
 def test_jung_radius_known_values():

@@ -1,0 +1,102 @@
+"""The shared ball lattice and neighborhood diameter against reference
+implementations: the point constructions the grid builders used before
+they shared `geometry.ball_lattice`, and a direct neighborhood scan."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.spatial import cKDTree
+
+from ballfix.geometry import random_ball_points
+from ballfix.maps import ConstantMap, ExtremalMap, neighborhood_diameter, sample_map_on_grid
+from ballfix.oracle import GridSpec, ball_grid, iter_ball_grid
+from ballfix.pipeline import GRID_SAFETY, build_sample_grid
+
+
+def reference_sample_grid_points(dim, alpha):
+    spacing = alpha / math.sqrt(dim) * (1.0 - GRID_SAFETY)
+    half_count = int(math.ceil(1.0 / spacing))
+    axis = np.arange(-half_count, half_count + 1) * spacing
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    norms = np.linalg.norm(pts, axis=1)
+    inside = pts[norms <= 1.0]
+    half_diag = spacing * math.sqrt(dim) / 2.0
+    shell = (norms > 1.0) & (norms <= 1.0 + half_diag)
+    projected = pts[shell] / norms[shell, None]
+    return np.concatenate([inside, projected], axis=0)
+
+
+def reference_ball_grid_slabs(dim, points_per_axis):
+    axis = np.linspace(-1.0, 1.0, points_per_axis)
+    half_diag = 2.0 / (points_per_axis - 1) * math.sqrt(dim) / 2.0
+    if dim == 1:
+        return [axis[:, None]]
+    rest = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
+    rest = np.stack([g.ravel() for g in rest], axis=1)
+    slabs = []
+    for x0 in axis:
+        slab = np.concatenate([np.full((rest.shape[0], 1), x0), rest], axis=1)
+        norms = np.linalg.norm(slab, axis=1)
+        inside = slab[norms <= 1.0]
+        shell = (norms > 1.0) & (norms <= 1.0 + half_diag)
+        projected = slab[shell] / norms[shell, None]
+        chunk = np.concatenate([inside, projected], axis=0)
+        if chunk.shape[0]:
+            slabs.append(chunk)
+    return slabs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 0.6, 0.37])
+def test_sample_grid_points_match_reference(dim, alpha):
+    grid = build_sample_grid(ConstantMap(np.zeros(dim)), dim, alpha)
+    assert np.array_equal(grid.points, reference_sample_grid_points(dim, alpha))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("points_per_axis", [2, 7, 10, 21])
+def test_ball_grid_slabs_match_reference(dim, points_per_axis):
+    spec = GridSpec(dim=dim, points_per_axis=points_per_axis)
+    slabs = list(iter_ball_grid(spec))
+    expected = reference_ball_grid_slabs(dim, points_per_axis)
+    assert len(slabs) == len(expected)
+    for slab, ref in zip(slabs, expected):
+        assert np.array_equal(slab, ref)
+
+
+@pytest.mark.parametrize("spacing", [0.5, 0.13, 0.01])
+def test_one_dimensional_sampled_map_keeps_the_full_interval(spacing):
+    # 1-D sampled maps are unchanged by the shell projection: the interval
+    # grid ends exactly at -1 and 1
+    sm = sample_map_on_grid(ConstantMap(np.zeros(1)), 1, spacing)
+    count = int(np.floor(2.0 / spacing)) + 1
+    assert np.array_equal(sm.points, np.linspace(-1.0, 1.0, count)[:, None])
+
+
+def direct_scan(points, values, r):
+    best = 0.0
+    for idx in cKDTree(points).query_ball_point(points, r):
+        v = values[idx]
+        best = max(best, float(np.linalg.norm(v[:, None] - v[None, :], axis=-1).max()))
+    return best
+
+
+@pytest.mark.parametrize("r", [0.05, 0.1])
+def test_neighborhood_diameter_few_values_matches_direct_scan(r):
+    pts = random_ball_points(np.random.default_rng(7), 2, 3000)
+    quantized = np.round(2.0 * pts) / 2.0
+    assert np.unique(quantized, axis=0).shape[0] <= 64
+    assert neighborhood_diameter(pts, quantized, r) == direct_scan(pts, quantized, r)
+    lattice = ball_grid(GridSpec(dim=2, points_per_axis=51))
+    values = ExtremalMap(dim=2, eps=1.0).batch(lattice)
+    assert neighborhood_diameter(lattice, values, r) == direct_scan(lattice, values, r)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.1])
+def test_neighborhood_diameter_many_values_matches_direct_scan(r):
+    pts = random_ball_points(np.random.default_rng(8), 2, 2000)
+    values = 0.5 * pts + 0.1 * np.sin(7.0 * pts[:, ::-1])
+    assert np.unique(values, axis=0).shape[0] > 64
+    assert neighborhood_diameter(pts, values, r) == direct_scan(pts, values, r)

@@ -156,6 +156,14 @@ def test_sampled_map_covering_probe():
     assert sm.check_covering(probes=2000) <= sm.covering_radius
 
 
+@pytest.mark.parametrize("dim, spacing", [(2, 0.1), (3, 0.13)])
+def test_sampled_map_covering_probe_in_higher_dims(dim, spacing):
+    # the declared radius holds near the sphere too, where the cells
+    # straddle the boundary
+    sm = sample_map_on_grid(ConstantMap(np.zeros(dim)), dim, spacing)
+    assert sm.check_covering(probes=20000) <= sm.covering_radius
+
+
 def test_modulus_estimate_examples():
     constant = sample_map_on_grid(ConstantMap(np.zeros(1)), 1, 0.05)
     assert modulus_estimate(constant, 0.3).value == 0.0

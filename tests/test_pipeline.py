@@ -10,9 +10,8 @@ from ballfix.errors import (
     HypothesisError,
     NoConvergenceError,
 )
-from ballfix.geometry import TOL_GEOM, TOL_WEIGHTS, jung_radius
+from ballfix.geometry import TOL_GEOM, TOL_WEIGHTS, jung_radius, random_ball_points
 from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, SampledMap, StepMap1D
-from ballfix.oracle import random_ball_points
 from ballfix.pipeline import (
     PipelineParams,
     SampleGrid,
