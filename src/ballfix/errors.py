@@ -56,5 +56,6 @@ class NoConvergenceError(BallfixError, RuntimeError):
 
 
 class CertificateError(BallfixError, RuntimeError):
-    """A certificate inequality failed; signals an inconsistency upstream
-    (typically an image-diameter check that should have been rerun)."""
+    """A certificate inequality failed at the fixed point found, typically
+    the Jung term: the support there maps to too wide a set at this alpha.
+    run_pipeline answers it by halving alpha."""

@@ -184,15 +184,19 @@ def cube_lattice(axis: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def ball_lattice(pts: np.ndarray, spacing: float) -> np.ndarray:
+def ball_lattice(pts: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows with norm <= 1, then the rows within a cell half-diagonal
     outside the sphere projected radially onto it, both in input order.
-    Projection onto the ball is 1-Lipschitz, so the lattice's covering
-    radius survives, and the sphere, where behavior changes, is sampled."""
+    Returns the indices of the kept rows and the lattice points, in that
+    order.  Projection onto the ball is 1-Lipschitz, so the lattice's
+    covering radius survives, and the sphere, where behavior changes, is
+    sampled."""
     norms = np.linalg.norm(pts, axis=1)
     half_diag = spacing * math.sqrt(pts.shape[1]) / 2.0
-    shell = (norms > 1.0) & (norms <= 1.0 + half_diag)
-    return np.concatenate([pts[norms <= 1.0], pts[shell] / norms[shell, None]], axis=0)
+    inside = np.flatnonzero(norms <= 1.0)
+    shell = np.flatnonzero((norms > 1.0) & (norms <= 1.0 + half_diag))
+    return (np.concatenate([inside, shell]),
+            np.concatenate([pts[inside], pts[shell] / norms[shell, None]], axis=0))
 
 
 def random_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:

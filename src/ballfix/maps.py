@@ -261,7 +261,7 @@ def sample_map_on_grid(f, dim: int, spacing: float, eps: float | None = None) ->
     count = int(np.floor(2.0 / spacing)) + 1
     axis = np.linspace(-1.0, 1.0, count)
     step = float(axis[1] - axis[0]) if count > 1 else 2.0
-    pts = ball_lattice(cube_lattice(axis, dim), step)
+    _, pts = ball_lattice(cube_lattice(axis, dim), step)
     return SampledMap(pts, f.batch(pts), covering_radius=step * np.sqrt(dim) / 2.0, eps=eps)
 
 

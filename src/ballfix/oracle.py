@@ -73,12 +73,12 @@ def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
             limit=budget, required=spec.total_points)
     axis = np.linspace(-1.0, 1.0, spec.points_per_axis)
     if spec.dim == 1:
-        yield ball_lattice(axis[:, None], spec.grid_step)
+        yield ball_lattice(axis[:, None], spec.grid_step)[1]
         return
     rest = cube_lattice(axis, spec.dim - 1)
     for x0 in axis:
         slab = np.concatenate([np.full((rest.shape[0], 1), x0), rest], axis=1)
-        chunk = ball_lattice(slab, spec.grid_step)
+        _, chunk = ball_lattice(slab, spec.grid_step)
         if chunk.shape[0]:
             yield chunk
 

@@ -7,7 +7,8 @@ weights onto the sampled values, and average back into the ball.  The
 composite map F is continuous, so it has a fixed point; near that fixed
 point some sample is displaced by less than the requested bound, and the
 triangle-inequality chain certifying this is returned as a checkable
-certificate.
+certificate.  The samples form a lazy lattice: f is evaluated only where
+the fixed-point search looks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     CoveringViolationError,
     DomainError,
     HypothesisError,
+    InvalidDimensionError,
     NoConvergenceError,
 )
 from .geometry import (
@@ -31,6 +33,7 @@ from .geometry import (
     ConvexCombination,
     as_vector,
     ball_lattice,
+    check_dim,
     cube_lattice,
     jung_radius,
     random_ball_points,
@@ -121,42 +124,158 @@ class PipelineParams:
 
 
 class SampleGrid:
-    """A SampledMap dense enough that alpha/2-balls around the samples cover
-    the unit ball, with a KD-tree for neighborhood queries."""
+    """The ball lattice of an axis grid of the given spacing
+    (geometry.ball_lattice over spacing times the integer indices within
+    +-ceil(1/spacing) per axis), sampled lazily: f is evaluated in batch
+    at a lattice point the first time an embedding touches it, and the
+    value is kept by integer lattice index.
 
-    def __init__(self, sampled: SampledMap, alpha: float, spacing: float | None = None):
-        if alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {alpha}")
-        self.sampled = sampled
+    `points` and `values` hold the touched samples in first-touch order;
+    `materialize` touches the whole lattice, in ball_lattice order.  The
+    cube must fit `max_points`, which keeps the lattice keys within int64.
+    """
+
+    def __init__(self, f, dim: int, alpha: float, spacing: float,
+                 max_points: int = DEFAULT_GRID_BUDGET):
+        dim = check_dim(dim)
+        if alpha <= 0 or spacing <= 0:
+            raise DomainError(f"alpha and spacing must be positive, got {alpha} and {spacing}")
+        if max_points > np.iinfo(np.int64).max:
+            raise DomainError(f"grid budget {max_points} overflows the int64 lattice keys")
+        half_count = int(math.ceil(1.0 / spacing))
+        per_axis = 2 * half_count + 1
+        if per_axis ** dim > max_points:
+            raise BudgetExceededError(
+                f"grid for alpha={alpha} needs {per_axis ** dim} points, over the "
+                f"budget of {max_points}; smallest feasible alpha is about "
+                f"{_min_feasible_alpha(dim, max_points):.3g}",
+                limit=max_points,
+                required=per_axis ** dim,
+                min_feasible_alpha=_min_feasible_alpha(dim, max_points),
+            )
+        self.f = f
+        self.dim = dim
         self.alpha = float(alpha)
-        self.spacing = spacing
-        self.tree = cKDTree(sampled.points)
+        self.spacing = float(spacing)
+        self._half_count = half_count
+        self._half_alpha = self.alpha / 2.0
+        self._half_diag = self.spacing * math.sqrt(dim) / 2.0
+        # A sample within alpha/2 of y is, before projection, within
+        # `reach` of y, hence within reach/spacing + sqrt(dim)/2 index
+        # units of round(y/spacing).
+        self._reach = self._half_alpha + self._half_diag
+        offsets = _index_ball(dim, self._reach / self.spacing + math.sqrt(dim) / 2.0,
+                              2 * half_count)
+        # Row-major mixed-radix key of each cube index, below per_axis**dim;
+        # the key of c + offset is c @ radix plus the offset's key.
+        self._radix = per_axis ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        self._offsets = offsets.astype(float)
+        self._offset_keys = (offsets + half_count) @ self._radix
+        # Sorted keys of the touched samples with each one's slot, ended by a
+        # sentinel above every key so that a searchsorted position is valid.
+        self._keys = np.array([np.iinfo(np.int64).max])
+        self._slots = np.array([-1])
+        self._points = np.empty((0, dim))
+        self._values = np.empty((0, dim))
 
     @property
     def points(self) -> np.ndarray:
-        return self.sampled.points
+        return self._points
 
     @property
     def values(self) -> np.ndarray:
-        return self.sampled.values
+        return self._values
 
     @property
-    def dim(self) -> int:
-        return self.sampled.dim
+    def sampled(self) -> SampledMap:
+        """The touched samples as a SampledMap with covering radius alpha/2."""
+        return SampledMap(self._points, self._values, covering_radius=self.alpha / 2.0,
+                          eps=getattr(self.f, "eps", None))
 
     def __len__(self) -> int:
-        return len(self.sampled)
+        return self._points.shape[0]
+
+    def near(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The samples strictly within alpha/2 of y, in ball_lattice order:
+        their slots, points and tents alpha/2 - ||z - y||."""
+        c = np.rint(y / self.spacing)
+        k = c + self._offsets
+        pts = k * self.spacing
+        near_sphere = math.sqrt(y @ y) + self._reach > 1.0
+        if near_sphere:  # geometry.ball_lattice on the candidates, row for row
+            norms = np.sqrt((pts * pts).sum(axis=1))
+            member = ((norms <= 1.0 + self._half_diag)
+                      & (np.abs(k).max(axis=1) <= self._half_count))
+            pts = pts / np.maximum(norms, 1.0)[:, None]
+        d = pts - y
+        tents = self._half_alpha - np.sqrt((d * d).sum(axis=1))
+        if near_sphere:
+            kept = np.flatnonzero((tents > 0.0) & member)
+            kept = kept[np.argsort(norms[kept] > 1.0, kind="stable")]
+        else:  # every candidate within alpha/2 of y is inside the ball
+            kept = np.flatnonzero(tents > 0.0)
+        pts = pts[kept]
+        keys = self._offset_keys[kept] + int(c.astype(np.int64) @ self._radix)
+        return self._touch(keys, pts), pts, tents[kept]
+
+    def materialize(self) -> SampleGrid:
+        """Touch every lattice point, in ball_lattice order; returns the grid."""
+        axis = np.arange(-self._half_count, self._half_count + 1)
+        k = cube_lattice(axis, self.dim)
+        rows, pts = ball_lattice(k * self.spacing, self.spacing)
+        self._touch((k[rows] + self._half_count) @ self._radix, pts)
+        return self
+
+    def _touch(self, keys: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Slots of the lattice points with the given (distinct) keys and
+        sample points; f is evaluated in one batch at the new ones."""
+        pos = np.searchsorted(self._keys, keys)
+        found = self._keys[pos] == keys
+        if found.all():
+            return self._slots[pos]
+        slots = np.empty(keys.shape[0], dtype=np.int64)
+        slots[found] = self._slots[pos[found]]
+        new = np.flatnonzero(~found)
+        # SampledMap checks the values: shape, finite, inside the ball.
+        fresh = SampledMap(pts[new], self.f.batch(pts[new]), covering_radius=self._half_alpha)
+        slots[new] = np.arange(len(self), len(self) + new.size)
+        self._points = np.concatenate([self._points, fresh.points])
+        self._values = np.concatenate([self._values, fresh.values])
+        order = np.argsort(keys[new])
+        at = np.searchsorted(self._keys, keys[new][order])
+        self._keys = np.insert(self._keys, at, keys[new][order])
+        self._slots = np.insert(self._slots, at, slots[new][order])
+        return slots
+
+
+def _index_ball(dim: int, radius: float, bound: int) -> np.ndarray:
+    """Integer vectors of norm <= radius and entries within +-bound, in
+    row-major order; built axis by axis so no box of the full radius is
+    materialized."""
+    r = min(int(math.floor(radius)), bound)
+    offsets = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dim):
+        rows = np.repeat(offsets, 2 * r + 1, axis=0)
+        last = np.tile(np.arange(-r, r + 1, dtype=np.int64), offsets.shape[0])
+        offsets = np.concatenate([rows, last[:, None]], axis=1)
+        offsets = offsets[(offsets * offsets).sum(axis=1) <= radius * radius]
+    return offsets
 
 
 @dataclass(frozen=True)
 class EmbeddedPoint:
-    """A point expressed in the nerve of the sample cover: support indices
-    into the grid plus the tent-weight convex combination over them.  The
+    """A point expressed in the nerve of the sample cover: support slots
+    into the grid, their points, and the tent weights over them.  The
     support has diameter at most alpha (all members lie within alpha/2 of
     the embedded point), i.e. it spans a Rips simplex of VR(grid; alpha)."""
 
     support: np.ndarray
-    combination: ConvexCombination
+    points: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def combination(self) -> ConvexCombination:
+        return ConvexCombination(points=self.points, weights=self.weights)
 
 
 @dataclass(frozen=True)
@@ -214,32 +333,16 @@ def _min_feasible_alpha(dim: int, max_points: int) -> float:
 
 def build_sample_grid(f, dim: int, alpha: float,
                       max_points: int = DEFAULT_GRID_BUDGET) -> SampleGrid:
-    """Sample f on an axis-aligned grid fine enough that alpha/2-balls
-    centered at the samples cover the unit ball.
+    """The lazy sample grid of f fine enough that alpha/2-balls centered at
+    the samples cover the unit ball.
 
     The samples are the ball lattice of the grid (geometry.ball_lattice),
     so the shell just outside the sphere is projected onto it and the
-    covering bound holds.  f is evaluated exactly once per retained sample.
+    covering bound holds.  The budget is checked up front against the whole
+    cube; f is evaluated at most once per sample, when it is first touched.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
     spacing = alpha / math.sqrt(dim) * (1.0 - GRID_SAFETY)
-    half_count = int(math.ceil(1.0 / spacing))
-    per_axis = 2 * half_count + 1
-    if per_axis ** dim > max_points:
-        raise BudgetExceededError(
-            f"grid for alpha={alpha} needs {per_axis ** dim} points, over the "
-            f"budget of {max_points}; smallest feasible alpha is about "
-            f"{_min_feasible_alpha(dim, max_points):.3g}",
-            limit=max_points,
-            required=per_axis ** dim,
-            min_feasible_alpha=_min_feasible_alpha(dim, max_points),
-        )
-    axis = np.arange(-half_count, half_count + 1) * spacing
-    samples = ball_lattice(cube_lattice(axis, dim), spacing)
-    sampled = SampledMap(samples, f.batch(samples), covering_radius=alpha / 2.0,
-                         eps=getattr(f, "eps", None))
-    return SampleGrid(sampled, alpha=alpha, spacing=spacing)
+    return SampleGrid(f, dim, alpha, spacing, max_points=max_points)
 
 
 def embed(y, grid: SampleGrid) -> EmbeddedPoint:
@@ -250,38 +353,33 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     sample leaves the support, so the embedding is continuous in y.
     """
     y = as_vector(y)
+    if y.shape[0] != grid.dim:
+        raise InvalidDimensionError(f"point of dimension {y.shape[0]} for a {grid.dim}-D grid")
     if float(np.linalg.norm(y)) > 1.0 + TOL_GEOM:
         raise DomainError("embedding is defined on the unit ball only")
-    idx = np.asarray(sorted(grid.tree.query_ball_point(y, grid.alpha / 2.0)), dtype=int)
-    if idx.size:
-        tents = grid.alpha / 2.0 - np.linalg.norm(grid.points[idx] - y, axis=1)
-        keep = tents > 0.0
-        idx, tents = idx[keep], tents[keep]
-    if idx.size == 0:
+    support, points, tents = grid.near(y)
+    if support.size == 0:
         raise CoveringViolationError(
             f"no sample within {grid.alpha / 2.0} of {y}; the grid does not cover the ball")
-    weights = tents / tents.sum()
-    return EmbeddedPoint(
-        support=idx,
-        combination=ConvexCombination(points=grid.points[idx], weights=weights),
-    )
+    return EmbeddedPoint(support=support, points=points, weights=tents / tents.sum())
 
 
 def simplicial_image_check(grid: SampleGrid, bound: float,
                            alpha: float | None = None) -> RipsEdgeViolation | None:
     """Verify every Rips edge of the sample set maps to a short segment.
 
-    Checks ||f(z) - f(z')|| <= bound for all samples with ||z - z'|| <=
-    alpha; edges determine all Rips simplices, so this bounds every simplex
-    image diameter.  Returns None on success, else the worst violating
-    edge: the signal that alpha is not yet small enough and the caller
-    should retry with alpha/2.
+    Materializes the grid and checks ||f(z) - f(z')|| <= bound for all
+    samples with ||z - z'|| <= alpha; edges determine all Rips simplices,
+    so this bounds every simplex image diameter.  Returns None on success,
+    else the worst violating edge.  An oracle for the tests: the pipeline
+    checks the one simplex it certifies, in extract_certificate.
     """
     alpha = grid.alpha if alpha is None else float(alpha)
-    pairs = grid.tree.query_pairs(alpha, output_type="ndarray")
+    points, values = grid.materialize().points, grid.values
+    pairs = cKDTree(points).query_pairs(alpha, output_type="ndarray")
     if pairs.shape[0] == 0:
         return None
-    image_d = np.linalg.norm(grid.values[pairs[:, 0]] - grid.values[pairs[:, 1]], axis=1)
+    image_d = np.linalg.norm(values[pairs[:, 0]] - values[pairs[:, 1]], axis=1)
     worst = int(np.argmax(image_d))
     if float(image_d[worst]) <= bound:
         return None
@@ -289,7 +387,7 @@ def simplicial_image_check(grid: SampleGrid, bound: float,
     return RipsEdgeViolation(
         i=i,
         j=j,
-        domain_distance=float(np.linalg.norm(grid.points[i] - grid.points[j])),
+        domain_distance=float(np.linalg.norm(points[i] - points[j])),
         image_distance=float(image_d[worst]),
     )
 
@@ -299,7 +397,7 @@ def averaged_map_eval(y, grid: SampleGrid) -> np.ndarray:
     sampled values.  A convex combination of ball points, hence in the
     ball; continuous wherever the embedding is."""
     emb = embed(y, grid)
-    return emb.combination.weights @ grid.values[emb.support]
+    return emb.weights @ grid.values[emb.support]
 
 
 def averaged_map(grid: SampleGrid):
@@ -404,14 +502,14 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
             f"residual {fp.residual} exceeds fp_tol={params.fp_tol}; not a usable fixed point")
     emb = embed(fp.y, grid)
     support_values = grid.values[emb.support]
-    f_of_y = emb.combination.weights @ support_values
+    f_of_y = emb.weights @ support_values
     dists = np.linalg.norm(support_values - f_of_y, axis=1)
     j = int(np.argmin(dists))
     jung_term = float(dists[j])
     if jung_term > params.jung_term_bound + TOL_GEOM:
         raise CertificateError(
             f"nearest support image at {jung_term}, above the Jung bound "
-            f"{params.jung_term_bound}; rerun simplicial_image_check")
+            f"{params.jung_term_bound}; alpha is too coarse for this map")
     i = int(emb.support[j])
     z = grid.points[i]
     fz = grid.values[i]
@@ -452,9 +550,12 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
     """End-to-end certificate search for a map of discontinuity scale eps.
 
     Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
-    maps admit no certificate).  Picks gamma as half the available slack,
-    then halves alpha from eps until both the image-diameter check passes
-    and the certificate chain arithmetic closes; the returned certificate's
+    maps admit no certificate).  Picks gamma as half the available slack
+    and alpha from eps so that the certificate chain arithmetic closes,
+    then solves for a fixed point of the averaged map on the lazy grid.
+    extract_certificate checks the Jung term on the support at that fixed
+    point; while it fails alpha is halved, until the grid budget stops a
+    map that is not eps-continuous.  The returned certificate's
     displacement is re-evaluated directly on f, not trusted from grid
     internals.
     """
@@ -472,12 +573,13 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
         params = PipelineParams(dim=dim, eps=eps, eps_prime=eps_prime,
                                 gamma=gamma, alpha=alpha, fp_tol=fp_tol)
         grid = build_sample_grid(f, dim, alpha, max_points=grid_budget)
-        if simplicial_image_check(grid, eps + gamma) is not None:
-            alpha /= 2.0  # not yet "sufficiently small"
-            continue
         fixed_point = find_fixed_point(averaged_map(grid), dim, fp_tol=fp_tol,
                                        max_evals=eval_budget, seed=seed)
-        certificate = extract_certificate(fixed_point, grid, params)
+        try:
+            certificate = extract_certificate(fixed_point, grid, params)
+        except CertificateError:
+            alpha /= 2.0  # not yet "sufficiently small"
+            continue
         recheck = float(np.linalg.norm(
             as_vector(f(certificate.z)) - certificate.z))
         return PipelineRun(params=params, grid=grid, fixed_point=fixed_point,

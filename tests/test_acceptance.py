@@ -60,6 +60,8 @@ PIPELINE_CASES = [
     ("step", 1, 1.0, 0.75),
     ("extremal", 2, 1.0, 0.60),
     ("extremal", 2, 1.0, 0.70),
+    ("extremal", 3, 1.0, 0.75),
+    ("extremal", 4, 1.0, 0.90),
 ]
 
 

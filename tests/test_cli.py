@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ def test_pipeline_step_certificate(tmp_path):
     assert cert["displacement"] < 0.55
     assert report["displacement_recheck"] < 0.55
     assert cert["jung_term"] + cert["residual"] + cert["anchor_term"] >= cert["displacement"] - 1e-9
+
+
+def test_pipeline_schema_example_is_a_real_run(tmp_path):
+    argv = ["pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"]
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "schemas.md").read_text()
+    heading = f"Output of `ballfix {' '.join(argv)} --out -`:\n\n```json\n"
+    example = doc[doc.index(heading) + len(heading):].split("```", 1)[0]
+    out = tmp_path / "cert.json"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+    assert out.read_text() == example
 
 
 def test_pipeline_hypothesis_exit_code():

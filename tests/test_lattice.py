@@ -1,6 +1,7 @@
 """The shared ball lattice and neighborhood diameter against reference
 implementations: the point constructions the grid builders used before
-they shared `geometry.ball_lattice`, and a direct neighborhood scan."""
+they shared `geometry.ball_lattice`, a KD-tree over the whole lattice for
+the lazy sample grid, and a direct neighborhood scan."""
 
 import math
 
@@ -11,7 +12,7 @@ from scipy.spatial import cKDTree
 from ballfix.geometry import random_ball_points
 from ballfix.maps import ConstantMap, ExtremalMap, neighborhood_diameter, sample_map_on_grid
 from ballfix.oracle import GridSpec, ball_grid, iter_ball_grid
-from ballfix.pipeline import GRID_SAFETY, build_sample_grid
+from ballfix.pipeline import GRID_SAFETY, averaged_map_eval, build_sample_grid, embed
 
 
 def reference_sample_grid_points(dim, alpha):
@@ -51,8 +52,58 @@ def reference_ball_grid_slabs(dim, points_per_axis):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("alpha", [1.0, 0.6, 0.37])
 def test_sample_grid_points_match_reference(dim, alpha):
-    grid = build_sample_grid(ConstantMap(np.zeros(dim)), dim, alpha)
+    grid = build_sample_grid(ConstantMap(np.zeros(dim)), dim, alpha).materialize()
     assert np.array_equal(grid.points, reference_sample_grid_points(dim, alpha))
+
+
+class CountingSmoothMap:
+    """A smooth self-map of the ball with a distinct value at every lattice
+    point, counting its batch calls and rows."""
+
+    def __init__(self, dim):
+        self.dim, self.calls, self.rows = dim, 0, 0
+
+    def batch(self, xs):
+        self.calls += 1
+        self.rows += xs.shape[0]
+        return 0.5 * np.sin(3.0 * xs + np.arange(self.dim)) / math.sqrt(self.dim)
+
+
+def lattice_probes(rng, dim, alpha, count):
+    """Uniform ball points, points within alpha of the sphere, and points on it."""
+    near = random_ball_points(rng, dim, count)
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    on_sphere = near[: count // 4].copy()
+    near *= 1.0 - alpha * rng.random((count, 1))
+    return np.concatenate([random_ball_points(rng, dim, count), near, on_sphere])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 0.6, 0.37])
+def test_lazy_grid_matches_kdtree_reference(dim, alpha):
+    points = reference_sample_grid_points(dim, alpha)
+    values = CountingSmoothMap(dim).batch(points)
+    tree = cKDTree(points)
+    reference = {tuple(p) for p in points}
+    f = CountingSmoothMap(dim)
+    grid = build_sample_grid(f, dim, alpha)
+    touched = set()
+    for y in lattice_probes(np.random.default_rng(dim + int(100 * alpha)), dim, alpha, 60):
+        # the strict tent rule: a sample at exactly alpha/2 has weight 0
+        idx = np.asarray(tree.query_ball_point(y, alpha / 2.0), dtype=int)
+        tents = alpha / 2.0 - np.linalg.norm(points[idx] - y, axis=1)
+        idx, tents = idx[tents > 0.0], tents[tents > 0.0]
+        emb = embed(y, grid)
+        support = {tuple(p) for p in grid.points[emb.support]}
+        assert support == {tuple(p) for p in points[idx]}
+        expected = (tents / tents.sum()) @ values[idx]
+        assert np.abs(averaged_map_eval(y, grid) - expected).max() <= 1e-12
+        touched |= support
+        calls = f.calls
+        averaged_map_eval(y.copy(), grid)
+        assert f.calls == calls
+    assert {tuple(p) for p in grid.points} <= reference
+    assert len(grid) == len(touched) == f.rows
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballfix.errors import (
     BudgetExceededError,
     CoveringViolationError,
     DomainError,
     HypothesisError,
+    InvalidDimensionError,
     NoConvergenceError,
 )
 from ballfix.geometry import TOL_GEOM, TOL_WEIGHTS, jung_radius, random_ball_points
-from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, SampledMap, StepMap1D
+from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, StepMap1D
 from ballfix.pipeline import (
     PipelineParams,
     SampleGrid,
@@ -61,7 +64,7 @@ def test_pipeline_params_validation():
 
 
 def test_build_sample_grid_interval_cover():
-    grid = build_sample_grid(StepMap1D(1.0), 1, 0.2)
+    grid = build_sample_grid(StepMap1D(1.0), 1, 0.2).materialize()
     assert grid.spacing <= 0.1
     xs = np.sort(grid.points[:, 0])
     assert xs[0] <= -1.0 + 0.1 and xs[-1] >= 1.0 - 0.1
@@ -71,7 +74,7 @@ def test_build_sample_grid_interval_cover():
 
 
 def test_build_sample_grid_planar_cover_probe():
-    grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.2)
+    grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.2).materialize()
     assert grid.sampled.check_covering(probes=1000) <= 0.1
     # boundary ring present: some samples sit on the sphere
     norms = np.linalg.norm(grid.points, axis=1)
@@ -82,19 +85,21 @@ def test_build_sample_grid_budget_error():
     with pytest.raises(BudgetExceededError) as err:
         build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 1e-6)
     assert err.value.min_feasible_alpha > 1e-6
+    with pytest.raises(DomainError):  # lattice keys are int64
+        build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=2**63)
 
 
 # --- embedding -----------------------------------------------------------------
 
 
-def _two_point_grid(alpha):
-    pts = np.array([[-0.3, 0.0], [0.3, 0.0]])
-    sampled = SampledMap(pts, pts, covering_radius=alpha / 2.0)
-    return SampleGrid(sampled, alpha=alpha)
+def _coarse_grid(alpha):
+    # identity samples on a lattice of spacing 0.3, too coarse to cover the
+    # ball at small alpha: each lattice point is its own neighbourhood
+    return SampleGrid(IdentityMap(2), 2, alpha, spacing=0.3)
 
 
 def test_embed_singleton_support():
-    grid = _two_point_grid(alpha=0.2)
+    grid = _coarse_grid(alpha=0.2)
     emb = embed(np.array([-0.3, 0.0]), grid)
     assert list(emb.support) == [0]
     np.testing.assert_allclose(emb.combination.weights, [1.0])
@@ -102,23 +107,28 @@ def test_embed_singleton_support():
 
 def test_embed_symmetric_pair_weights():
     # y equidistant from two samples, both strictly inside the tent radius
-    alpha = 2.0  # tent radius 1.0; samples at distance 0.3 = alpha/2 * 0.3
-    grid = _two_point_grid(alpha=alpha)
-    emb = embed(np.zeros(2), grid)
+    alpha = 0.4  # tent radius 0.2; samples at distance 0.15, the next at 0.335
+    grid = _coarse_grid(alpha=alpha)
+    emb = embed(np.array([0.15, 0.0]), grid)
     assert sorted(emb.support) == [0, 1]
     np.testing.assert_allclose(emb.combination.weights, [0.5, 0.5], atol=TOL_WEIGHTS)
 
 
 def test_embed_covering_violation():
-    grid = _two_point_grid(alpha=0.2)
+    grid = _coarse_grid(alpha=0.2)
     with pytest.raises(CoveringViolationError):
-        embed(np.array([0.0, 0.9]), grid)
+        embed(np.array([0.15, 0.15]), grid)
 
 
 def test_embed_rejects_outside_ball():
-    grid = _two_point_grid(alpha=0.2)
+    grid = _coarse_grid(alpha=0.2)
     with pytest.raises(DomainError):
         embed(np.array([1.2, 0.0]), grid)
+
+
+def test_embed_rejects_wrong_dimension():
+    with pytest.raises(InvalidDimensionError):
+        embed(np.zeros(1), _coarse_grid(alpha=0.2))
 
 
 def test_embed_weights_and_support_on_random_probes():
@@ -205,7 +215,7 @@ def test_averaged_map_constant():
 
 
 def test_averaged_map_singleton_support_returns_sample_value():
-    grid = _two_point_grid(alpha=0.2)
+    grid = _coarse_grid(alpha=0.2)
     np.testing.assert_allclose(
         averaged_map_eval(np.array([-0.3, 0.0]), grid), [-0.3, 0.0], atol=1e-15)
 
@@ -320,3 +330,70 @@ def test_run_pipeline_respects_grid_budget():
     # 1000-point grid can deliver
     with pytest.raises(BudgetExceededError):
         run_pipeline(StepMap1D(1.0), 1, 1.0, 0.5001, grid_budget=1000, fp_tol=1e-8)
+
+
+class VoronoiStepMap:
+    """Piecewise constant on the Voronoi cells of `sites`: each point takes
+    the value of its nearest site."""
+
+    def __init__(self, sites, values):
+        self.sites, self.values = sites, values
+
+    def batch(self, xs):
+        d2 = ((xs[:, None, :] - self.sites[None, :, :]) ** 2).sum(axis=-1)
+        return self.values[np.argmin(d2, axis=1)]
+
+    def __call__(self, x):
+        return self.batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 3), cells=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       eps=st.floats(0.2, 1.5), gap=st.floats(0.15, 0.4))
+def test_random_eps_continuous_maps_certify_term_by_term(dim, cells, seed, eps, gap):
+    # a random Voronoi partition of the ball with values in a ball of
+    # radius eps/2 inside the unit ball: every image has diameter <= eps
+    rng = np.random.default_rng(seed)
+    center = (1.0 - eps / 2.0) * random_ball_points(rng, dim, 1)
+    values = center + eps / 2.0 * random_ball_points(rng, dim, cells)
+    f = VoronoiStepMap(random_ball_points(rng, dim, cells), values)
+    eps_prime = eps / jung_radius(dim) + gap
+    run = run_pipeline(f, dim, eps, eps_prime)
+    cert, params = run.certificate, run.params
+    fresh = f(cert.z)
+    displacement = float(np.linalg.norm(fresh - cert.z))
+    f_at_y = averaged_map_eval(cert.trace.y, run.grid)
+    jung_term = float(np.linalg.norm(fresh - f_at_y))
+    residual = float(np.linalg.norm(f_at_y - cert.trace.y))
+    anchor = float(np.linalg.norm(cert.z - cert.trace.y))
+    assert displacement < eps_prime
+    assert jung_term <= params.jung_term_bound + 1e-9
+    assert anchor <= params.alpha / 2.0 + 1e-9
+    assert residual <= params.fp_tol + 1e-9
+    assert displacement <= jung_term + residual + anchor + 1e-9
+
+
+class CountingMap:
+    def __init__(self, f):
+        self.f, self.rows = f, 0
+
+    def batch(self, xs):
+        self.rows += xs.shape[0]
+        return self.f.batch(xs)
+
+    def __call__(self, x):
+        return self.f(x)
+
+
+@pytest.mark.parametrize("f, dim, eps, eps_prime", [
+    (StepMap1D(1.0), 1, 0.5, 0.3),
+    (ExtremalMap(dim=2, eps=1.0), 2, 0.5, 0.35),
+])
+def test_declared_eps_too_small_ends_in_budget_error(f, dim, eps, eps_prime):
+    # the jump is larger than the declared eps, so every alpha fails the
+    # local Jung check until the grid budget stops the halving
+    counted = CountingMap(f)
+    with pytest.raises(BudgetExceededError) as err:
+        run_pipeline(counted, dim, eps, eps_prime)
+    assert err.value.required > err.value.limit == 2_000_000
+    assert counted.rows < 1_000
