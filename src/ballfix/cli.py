@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -51,24 +52,15 @@ __all__ = ["main", "build_parser", "load_sampled_map", "dump_sampled_map", "rend
 # --- serialization helpers --------------------------------------------------
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _numpy_to_json(obj):
+    """json.dumps hook for numpy arrays and scalars (np.float64 is a float)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(report: dict) -> str:
-    return json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -108,27 +100,6 @@ def dump_sampled_map(m: maps.SampledMap, path: str) -> None:
         "values": m.values,
     }
     Path(path).write_text(_dumps(record))
-
-
-class _NearestSampleMap:
-    """Evaluable view of a SampledMap: each query returns the value at the
-    nearest sample (piecewise constant, discontinuity scale inherited)."""
-
-    def __init__(self, sampled: maps.SampledMap):
-        from scipy.spatial import cKDTree
-
-        self.sampled = sampled
-        self.eps = sampled.eps
-        self.dim = sampled.dim
-        self._tree = cKDTree(sampled.points)
-
-    def __call__(self, x):
-        _, i = self._tree.query(np.asarray(x, dtype=float))
-        return self.sampled.values[int(i)]
-
-    def batch(self, xs):
-        _, idx = self._tree.query(np.asarray(xs, dtype=float))
-        return self.sampled.values[idx]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -180,19 +151,23 @@ def cmd_extremal(args) -> int:
         "eps": args.eps,
         "image_diameter": maps.image_diameter(extremal),
         "theoretical_bound": extremal.scale,
-        "tightness": report_data.to_dict(),
+        "tightness": asdict(report_data),
     }
     _write_output(_dumps(report), args.out)
     return EXIT_OK
 
 
 def _build_map(args):
+    if args.value is not None and (args.map_file is not None or args.map != "constant"):
+        raise DomainError("--value applies only to --map constant")
     if args.map_file is not None:
         sampled = load_sampled_map(args.map_file)
+        if args.n not in (None, sampled.dim):
+            raise DomainError(f"--n {args.n} does not match the {sampled.dim}-D map file")
         if args.eps is None and sampled.eps is None:
             raise DomainError("sampled-map file carries no eps; pass --eps")
         eps = args.eps if args.eps is not None else sampled.eps
-        return _NearestSampleMap(sampled), sampled.dim, eps
+        return sampled, sampled.dim, eps
     if args.eps is None:
         raise DomainError("--eps is required for built-in maps")
     name = args.map
@@ -258,25 +233,25 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report_data = oracle.tightness_report(args.n, args.eps, points_per_axis=args.resolution,
-                                          budget=args.budget)
-    counterexample = oracle.jung_random_test(args.n, args.trials, seed=args.seed)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "report": "verify",
-        "tightness": report_data.to_dict(),
-        "jung_test": {
-            "dim": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "passed": counterexample is None,
-        },
-    }
-    if args.format == "csv":
+    passed = oracle.jung_random_test(args.n, args.trials, seed=args.seed) is None
+    if args.format == "csv":  # the displacement CSV of `extremal`; no tightness sweep
         _write_displacement_csv(maps.ExtremalMap(dim=args.n, eps=args.eps), args)
     else:
+        tightness = oracle.tightness_report(args.n, args.eps, points_per_axis=args.resolution,
+                                            budget=args.budget)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "report": "verify",
+            "tightness": asdict(tightness),
+            "jung_test": {
+                "dim": args.n,
+                "trials": args.trials,
+                "seed": args.seed,
+                "passed": passed,
+            },
+        }
         _write_output(_dumps(report), args.out)
-    return EXIT_OK if counterexample is None else EXIT_COUNTEREXAMPLE
+    return EXIT_OK if passed else EXIT_COUNTEREXAMPLE
 
 
 def _svg_point(angle: float, radius: float) -> tuple[float, float]:
@@ -349,10 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "constructions, certificates, and brute-force verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, resolution=None, budget=None):
+    def common(p, *, formats=False, seed=False, resolution=None, budget=None):
+        """--out on every subcommand; the other flags where it reads them."""
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if resolution is not None:
             p.add_argument("--resolution", type=int, default=resolution,
                            help="grid points per axis")
@@ -363,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="table of jung_radius(n) and eps/jung_radius(n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=1.0)
-    common(p)
+    common(p, formats=True)
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("extremal", help="build the extremal map and certify it on a grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    common(p, resolution=201, budget=oracle.DEFAULT_BUDGET)
+    common(p, formats=True, resolution=201, budget=oracle.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("pipeline", help="run the certificate pipeline on a map")
@@ -383,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", default=None,
                    help="comma-separated constant-map value")
     p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-6)
-    common(p, budget=pipeline.DEFAULT_GRID_BUDGET)
+    common(p, seed=True, budget=pipeline.DEFAULT_GRID_BUDGET)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("verify", help="tightness sweep plus randomized Jung test")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=2000)
-    common(p, resolution=201, budget=oracle.DEFAULT_BUDGET)
+    common(p, formats=True, seed=True, resolution=201, budget=oracle.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figure", help="SVG of the planar extremal construction")

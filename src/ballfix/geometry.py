@@ -131,9 +131,6 @@ class Ball:
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
-    def contains(self, point, tol: float = TOL_GEOM) -> bool:
-        return float(np.linalg.norm(as_vector(point) - self.center)) <= self.radius + tol
-
 
 def jung_radius(n: int) -> float:
     """Diameter of the regular n-simplex inscribed in the unit sphere of R^n.

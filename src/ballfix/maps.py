@@ -10,6 +10,7 @@ one point and `batch` for rows of points; grids and sweeps use `batch`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,7 +34,6 @@ from .geometry import (
 # scales outside (0, 2] are caller mistakes and are rejected, not clamped.
 EPS_MAX = 2.0
 
-_TIE_RULES = ("lowest_index", "highest_index")
 _TIE_TOL_SQ = 1e-12  # absolute tolerance on squared distances for Voronoi ties
 
 __all__ = [
@@ -115,21 +115,18 @@ class ExtremalMap:
     (value norms equal eps / jung_radius(dim)); the sharp self-map regime
     is eps <= jung_radius(dim).
 
-    Ties on cell walls are broken by vertex index so the cells form a true
-    partition; "lowest_index" keeps the dim = 1 case pointwise equal to
+    Ties on cell walls go to the lowest vertex index so the cells form a
+    true partition; that keeps the dim = 1 case pointwise equal to
     StepMap1D.
     """
 
     dim: int
     eps: float
-    tie_break: str = "lowest_index"
     vertices: PointSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_dim(self.dim))
         object.__setattr__(self, "eps", _check_eps(self.eps))
-        if self.tie_break not in _TIE_RULES:
-            raise ValueError(f"tie_break must be one of {_TIE_RULES}, got {self.tie_break!r}")
         object.__setattr__(self, "vertices", regular_simplex_vertices(self.dim))
 
     @property
@@ -137,7 +134,7 @@ class ExtremalMap:
         return self.eps / jung_radius(self.dim)
 
     def voronoi_index(self, x) -> int:
-        """Index of the nearest simplex vertex, ties to the configured rule."""
+        """Index of the nearest simplex vertex, ties to the lowest index."""
         x = _check_in_ball(as_vector(x))
         return int(self.batch_index(x[None, :])[0])
 
@@ -150,9 +147,7 @@ class ExtremalMap:
             + (verts * verts).sum(axis=1)[None, :]
         )
         tied = d2 <= d2.min(axis=1, keepdims=True) + _TIE_TOL_SQ
-        if self.tie_break == "lowest_index":
-            return np.argmax(tied, axis=1)
-        return tied.shape[1] - 1 - np.argmax(tied[:, ::-1], axis=1)
+        return np.argmax(tied, axis=1)
 
     def __call__(self, x) -> np.ndarray:
         x = _check_in_ball(as_vector(x))
@@ -207,7 +202,9 @@ class IdentityMap:
 class SampledMap:
     """A map known only through samples: points z in the ball paired with
     values f(z), plus a covering radius r_cov promising every point of the
-    ball lies within r_cov of some sample.
+    ball lies within r_cov of some sample.  Evaluated anywhere, it returns
+    the value at the nearest sample (piecewise constant on the Voronoi
+    cells of the samples).
 
     The covering radius is caller-supplied metadata; `check_covering`
     verifies it probabilistically (exact verification is a separate hard
@@ -243,12 +240,22 @@ class SampledMap:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.points)
+
+    def __call__(self, x) -> np.ndarray:
+        return self.values[int(self._tree.query(as_vector(x))[1])]
+
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        return self.values[self._tree.query(as_points(xs))[1]]
+
     def check_covering(self, probes: int = 1000, seed: int = 0) -> float:
         """Max distance from random ball probes to the sample set; the
         covering claim holds on this sample of probes iff the result is
         at most covering_radius."""
         probe_points = random_ball_points(np.random.default_rng(seed), self.dim, probes)
-        dists, _ = cKDTree(self.points).query(probe_points)
+        dists, _ = self._tree.query(probe_points)
         return float(dists.max())
 
 

@@ -122,18 +122,6 @@ class TightnessReport:
     theoretical_bound: float
     gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eps": self.eps,
-            "points_per_axis": self.points_per_axis,
-            "grid_step": self.grid_step,
-            "min_displacement": self.min_displacement,
-            "argmin": [float(v) for v in self.argmin],
-            "theoretical_bound": self.theoretical_bound,
-            "gap": self.gap,
-        }
-
 
 def tightness_report(dim: int, eps: float, points_per_axis: int = 201,
                      budget: int = DEFAULT_BUDGET) -> TightnessReport:

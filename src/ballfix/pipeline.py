@@ -35,6 +35,7 @@ from .geometry import (
     ball_lattice,
     check_dim,
     cube_lattice,
+    jung_nearest,
     jung_radius,
     random_ball_points,
 )
@@ -57,7 +58,6 @@ __all__ = [
     "PipelineRun",
     "RipsEdgeViolation",
     "SampleGrid",
-    "averaged_map",
     "averaged_map_eval",
     "build_sample_grid",
     "embed",
@@ -400,11 +400,6 @@ def averaged_map_eval(y, grid: SampleGrid) -> np.ndarray:
     return emb.weights @ grid.values[emb.support]
 
 
-def averaged_map(grid: SampleGrid):
-    """F as a plain callable, for the fixed-point solver."""
-    return lambda y: averaged_map_eval(y, grid)
-
-
 def _ball_grid_points(dim: int, per_axis: int, center: np.ndarray, span: float) -> np.ndarray:
     pts = center + cube_lattice(np.linspace(-span, span, per_axis), dim)
     norms = np.linalg.norm(pts, axis=1)
@@ -501,11 +496,8 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
         raise DomainError(
             f"residual {fp.residual} exceeds fp_tol={params.fp_tol}; not a usable fixed point")
     emb = embed(fp.y, grid)
-    support_values = grid.values[emb.support]
-    f_of_y = emb.weights @ support_values
-    dists = np.linalg.norm(support_values - f_of_y, axis=1)
-    j = int(np.argmin(dists))
-    jung_term = float(dists[j])
+    j, jung_term = jung_nearest(
+        ConvexCombination(points=grid.values[emb.support], weights=emb.weights))
     if jung_term > params.jung_term_bound + TOL_GEOM:
         raise CertificateError(
             f"nearest support image at {jung_term}, above the Jung bound "
@@ -545,7 +537,6 @@ class PipelineRun:
 def run_pipeline(f, dim: int, eps: float, eps_prime: float,
                  fp_tol: float = 1e-6,
                  grid_budget: int = DEFAULT_GRID_BUDGET,
-                 eval_budget: int = DEFAULT_EVAL_BUDGET,
                  seed: int = 0) -> PipelineRun:
     """End-to-end certificate search for a map of discontinuity scale eps.
 
@@ -573,8 +564,8 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
         params = PipelineParams(dim=dim, eps=eps, eps_prime=eps_prime,
                                 gamma=gamma, alpha=alpha, fp_tol=fp_tol)
         grid = build_sample_grid(f, dim, alpha, max_points=grid_budget)
-        fixed_point = find_fixed_point(averaged_map(grid), dim, fp_tol=fp_tol,
-                                       max_evals=eval_budget, seed=seed)
+        fixed_point = find_fixed_point(lambda y: averaged_map_eval(y, grid), dim,
+                                       fp_tol=fp_tol, max_evals=DEFAULT_EVAL_BUDGET, seed=seed)
         try:
             certificate = extract_certificate(fixed_point, grid, params)
         except CertificateError:

@@ -14,12 +14,14 @@ from ballfix.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    _dumps,
     dump_sampled_map,
     load_sampled_map,
     main,
     render_figure,
 )
-from ballfix.maps import SampledMap, StepMap1D, sample_map_on_grid
+from ballfix.maps import ExtremalMap, SampledMap, StepMap1D, sample_map_on_grid
+from ballfix.pipeline import run_pipeline
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -154,6 +156,45 @@ def test_pipeline_sampled_file_roundtrip(tmp_path):
     assert read_json(out)["certificate"]["displacement"] < 0.6
 
 
+def test_pipeline_map_file_is_the_map(tmp_path):
+    # the library run on the loaded file certifies exactly what the CLI does
+    path = tmp_path / "extremal.json"
+    dump_sampled_map(sample_map_on_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.05, eps=1.0), str(path))
+    out = tmp_path / "cert.json"
+    assert run_cli("pipeline", "--map-file", str(path), "--eps-prime", "0.62",
+                   "--out", str(out)) == EXIT_OK
+    report = read_json(out)
+    run = run_pipeline(load_sampled_map(str(path)), 2, 1.0, 0.62)
+    assert report["certificate"]["z"] == run.certificate.z.tolist()
+    assert report["certificate"]["displacement"] == run.certificate.displacement
+    assert report["params"]["alpha"] == run.params.alpha
+
+
+def test_pipeline_map_file_rejects_other_dimension(tmp_path, capsys):
+    path = tmp_path / "extremal.json"
+    dump_sampled_map(sample_map_on_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.1, eps=1.0), str(path))
+    assert run_cli("pipeline", "--map-file", str(path), "--n", "3",
+                   "--eps-prime", "0.62") == EXIT_USAGE
+    assert "--n 3" in capsys.readouterr().err
+    assert run_cli("pipeline", "--map-file", str(path), "--n", "2",
+                   "--eps-prime", "0.62", "--out", str(tmp_path / "cert.json")) == EXIT_OK
+
+
+@pytest.mark.parametrize("map_args", [
+    ("--map", "step"),
+    ("--map", "extremal", "--n", "1"),
+    ("--map", "identity", "--n", "1"),
+    ("--map-file", "FILE"),
+])
+def test_pipeline_value_only_for_the_constant_map(tmp_path, capsys, map_args):
+    path = tmp_path / "step.json"
+    dump_sampled_map(sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0), str(path))
+    argv = [str(path) if a == "FILE" else a for a in map_args]
+    assert run_cli("pipeline", *argv, "--eps", "1", "--eps-prime", "0.6",
+                   "--value", "0.1") == EXIT_USAGE
+    assert "--value" in capsys.readouterr().err
+
+
 def test_pipeline_map_file_eps_zero_is_rejected(tmp_path, capsys):
     # an explicit --eps overrides the file's eps, zero included
     path = tmp_path / "step.json"
@@ -185,6 +226,20 @@ def test_verify_counterexample_exit(tmp_path, monkeypatch):
     assert run_cli("verify", "--n", "2", "--resolution", "21", "--trials", "10",
                    "--out", str(out)) == EXIT_COUNTEREXAMPLE
     assert read_json(out)["jung_test"]["passed"] is False
+
+
+def test_verify_csv_is_the_extremal_csv_without_a_tightness_sweep(tmp_path, monkeypatch):
+    sweeps = []
+    real = oracle.tightness_report
+    monkeypatch.setattr(oracle, "tightness_report",
+                        lambda *args, **kwargs: sweeps.append(args) or real(*args, **kwargs))
+    verify, extremal = tmp_path / "verify.csv", tmp_path / "extremal.csv"
+    assert run_cli("verify", "--n", "2", "--eps", "0.8", "--resolution", "31",
+                   "--trials", "50", "--format", "csv", "--out", str(verify)) == EXIT_OK
+    assert sweeps == []
+    assert run_cli("extremal", "--n", "2", "--eps", "0.8", "--resolution", "31",
+                   "--format", "csv", "--out", str(extremal)) == EXIT_OK
+    assert verify.read_bytes() == extremal.read_bytes()
 
 
 def test_verify_budget_exit():
@@ -246,6 +301,50 @@ def test_outputs_byte_identical_across_runs(tmp_path, argv):
     assert run_cli(*argv, "--out", str(first)) == EXIT_OK
     assert run_cli(*argv, "--out", str(second)) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("radius", "--n", "2", "--seed", "1"),
+    ("extremal", "--n", "2", "--eps", "1", "--seed", "1"),
+    ("figure", "--seed", "1"),
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--format", "csv"),
+    ("figure", "--format", "csv"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_dumps_converts_numpy_values():
+    report = {
+        "float": np.float64(0.1),
+        "int": np.int64(3),
+        "flag": np.bool_(True),
+        "grid": np.arange(4.0).reshape(2, 2),
+        "pair": (1, 2.5),
+    }
+    assert _dumps(report) == (
+        '{\n'
+        '  "flag": true,\n'
+        '  "float": 0.1,\n'
+        '  "grid": [\n'
+        '    [\n'
+        '      0.0,\n'
+        '      1.0\n'
+        '    ],\n'
+        '    [\n'
+        '      2.0,\n'
+        '      3.0\n'
+        '    ]\n'
+        '  ],\n'
+        '  "int": 3,\n'
+        '  "pair": [\n'
+        '    1,\n'
+        '    2.5\n'
+        '  ]\n'
+        '}\n')
 
 
 def test_json_reports_roundtrip_exactly(tmp_path):

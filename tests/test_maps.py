@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballfix.errors import DomainError, InvalidDimensionError
-from ballfix.geometry import TOL_GEOM, jung_radius
+from ballfix.geometry import TOL_GEOM, jung_radius, random_ball_points
 from ballfix.maps import (
     ConstantMap,
     ExtremalMap,
@@ -59,15 +59,6 @@ def test_voronoi_index_examples():
     assert m.voronoi_index(0.9 * m.vertices[2]) == 2
 
 
-def test_voronoi_tie_break_rules():
-    low = ExtremalMap(dim=2, eps=1.0, tie_break="lowest_index")
-    high = ExtremalMap(dim=2, eps=1.0, tie_break="highest_index")
-    assert low.voronoi_index(np.zeros(2)) == 0
-    assert high.voronoi_index(np.zeros(2)) == 2
-    with pytest.raises(ValueError):
-        ExtremalMap(dim=2, eps=1.0, tie_break="coin_flip")
-
-
 def test_extremal_eval_examples():
     m1 = ExtremalMap(dim=1, eps=1.0)
     assert m1(np.array([-0.2]))[0] == pytest.approx(0.5, abs=TOL_GEOM)
@@ -118,13 +109,9 @@ def test_image_diameter_examples():
 def test_step_and_extremal_agree_in_dim1():
     step = StepMap1D(1.0)
     low = ExtremalMap(dim=1, eps=1.0)                  # origin goes to vertex -1
-    high = ExtremalMap(dim=1, eps=1.0, tie_break="highest_index")
     xs = np.linspace(-1.0, 1.0, 81)
     for x in xs:
         assert low(np.array([x]))[0] == step(float(x))
-        if x != 0.0:
-            assert high(np.array([x]))[0] == step(float(x))
-    assert high(np.array([0.0]))[0] == -step(0.0)      # they differ only at 0
 
 
 def test_extremal_min_displacement_respects_bound():
@@ -162,6 +149,21 @@ def test_sampled_map_covering_probe_in_higher_dims(dim, spacing):
     # straddle the boundary
     sm = sample_map_on_grid(ConstantMap(np.zeros(dim)), dim, spacing)
     assert sm.check_covering(probes=20000) <= sm.covering_radius
+
+
+@pytest.mark.parametrize("f, dim, spacing", [
+    (StepMap1D(1.0), 1, 0.01),
+    (ExtremalMap(dim=2, eps=1.0), 2, 0.1),
+])
+def test_sampled_map_evaluates_at_the_nearest_sample(f, dim, spacing):
+    sm = sample_map_on_grid(f, dim, spacing, eps=1.0)
+    probes = random_ball_points(np.random.default_rng(5), dim, 500)
+    nearest = np.argmin(np.linalg.norm(probes[:, None, :] - sm.points[None, :, :], axis=-1),
+                        axis=1)
+    expected = sm.values[nearest]
+    np.testing.assert_array_equal(sm.batch(probes), expected)
+    for x, fx in zip(probes, expected):
+        np.testing.assert_array_equal(sm(x), fx)
 
 
 def test_modulus_estimate_examples():

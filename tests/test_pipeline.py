@@ -18,7 +18,6 @@ from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, StepMap1D
 from ballfix.pipeline import (
     PipelineParams,
     SampleGrid,
-    averaged_map,
     averaged_map_eval,
     build_sample_grid,
     embed,
@@ -252,7 +251,7 @@ def test_find_fixed_point_negation():
 
 def test_find_fixed_point_averaged_extremal():
     grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.05)
-    result = find_fixed_point(averaged_map(grid), 2, fp_tol=1e-6)
+    result = find_fixed_point(lambda y: averaged_map_eval(y, grid), 2, fp_tol=1e-6)
     assert result.residual <= 1e-6
     # the near-fixed region of the averaged extremal map hugs the origin
     assert np.linalg.norm(result.y) <= 0.05
@@ -261,7 +260,7 @@ def test_find_fixed_point_averaged_extremal():
 def test_find_fixed_point_budget_error():
     grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.05)
     with pytest.raises(NoConvergenceError) as err:
-        find_fixed_point(averaged_map(grid), 2, fp_tol=1e-12, max_evals=40)
+        find_fixed_point(lambda y: averaged_map_eval(y, grid), 2, fp_tol=1e-12, max_evals=40)
     assert err.value.best_residual is not None
 
 
@@ -273,7 +272,7 @@ def test_extract_certificate_constant_map():
     params = PipelineParams(dim=2, eps=1.0, eps_prime=0.7, gamma=0.1,
                             alpha=0.05, fp_tol=1e-9)
     grid = build_sample_grid(ConstantMap(c), 2, params.alpha)
-    fp = find_fixed_point(averaged_map(grid), 2, fp_tol=params.fp_tol)
+    fp = find_fixed_point(lambda y: averaged_map_eval(y, grid), 2, fp_tol=params.fp_tol)
     cert = extract_certificate(fp, grid, params)
     assert cert.displacement <= params.alpha / 2.0 + params.fp_tol + TOL_GEOM
     np.testing.assert_allclose(cert.fz, c, atol=TOL_GEOM)
