@@ -108,6 +108,7 @@ def dump_sampled_map(m: maps.SampledMap, path: str) -> None:
 def cmd_radius(args) -> int:
     if args.n < 1:
         raise InvalidDimensionError(f"--n must be at least 1, got {args.n}")
+    maps._check_eps(args.eps)
     rows = [
         {"n": k, "jung_radius": jung_radius(k), "bound": args.eps / jung_radius(k)}
         for k in range(1, args.n + 1)
@@ -195,7 +196,7 @@ def cmd_pipeline(args) -> int:
     f, dim, eps = _build_map(args)
     run = pipeline.run_pipeline(
         f, dim, eps, args.eps_prime,
-        fp_tol=args.fp_tol, grid_budget=args.budget, seed=args.seed)
+        fp_tol=args.fp_tol, grid_budget=args.budget)
     cert = run.certificate
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", default=None,
                    help="comma-separated constant-map value")
     p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-6)
-    common(p, seed=True, budget=pipeline.DEFAULT_GRID_BUDGET)
+    common(p, budget=pipeline.DEFAULT_GRID_BUDGET)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("verify", help="tightness sweep plus randomized Jung test")

@@ -31,7 +31,8 @@ class HypothesisError(BallfixError, ValueError):
 
 
 class CoveringViolationError(BallfixError, RuntimeError):
-    """A sample grid failed its covering guarantee (empty embedding support)."""
+    """A sample grid failed its covering guarantee (empty embedding support).
+    Nothing in the pipeline raises it: Kuhn simplices cover every point."""
 
 
 class BudgetExceededError(BallfixError, RuntimeError):
@@ -46,8 +47,9 @@ class BudgetExceededError(BallfixError, RuntimeError):
 
 
 class NoConvergenceError(BallfixError, RuntimeError):
-    """The fixed-point search exhausted its budget; carries the best point
-    found so far (never a claim that no fixed point exists)."""
+    """The fixed-point search exhausted its pivot budget; carries the last
+    point of its path and the residual there (never a claim that no fixed
+    point exists)."""
 
     def __init__(self, message: str, *, best_point=None, best_residual: float | None = None):
         super().__init__(message)

@@ -162,6 +162,8 @@ def jung_random_test(dim: int, trials: int, points_per_set: int = 10,
 
     Returns None when all trials pass, else the first counterexample.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     radius = jung_radius(dim)
     for _ in range(trials):

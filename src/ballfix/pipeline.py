@@ -1,20 +1,23 @@
 """Constructive search for near-fixed points of discontinuous ball maps.
 
-The chain: sample the ball densely enough that radius-alpha/2 balls cover
-it, embed each query point into the nerve of that cover by tent-function
-weights (a point of the Vietoris-Rips complex VR(samples; alpha)), push the
-weights onto the sampled values, and average back into the ball.  The
-composite map F is continuous, so it has a fixed point; near that fixed
-point some sample is displaced by less than the requested bound, and the
+The chain: sample f at the vertices of the Kuhn (Freudenthal)
+triangulation of the lattice s*Z^n, s = alpha/(2 sqrt(n)), each vertex
+sampled at its radial projection onto the ball, so every simplex has
+diameter alpha/2.  The averaged map F weights the sampled values of the
+simplex holding a point by its barycentric coordinates there: F is a
+continuous, piecewise-linear self-map of the ball.  Merrill's restart
+algorithm follows a path of completely labelled simplices to an exact
+fixed point y of F.  F(y) is then a convex combination of the values at
+the vertices of one simplex, all within alpha/2 of y, so by Jung's theorem
+some sample there is displaced by less than the requested bound; the
 triangle-inequality chain certifying this is returned as a checkable
-certificate.  The samples form a lazy lattice: f is evaluated only where
-the fixed-point search looks.
+certificate.  f is evaluated only at the vertices the path touches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,7 +25,6 @@ from scipy.spatial import cKDTree
 from .errors import (
     BudgetExceededError,
     CertificateError,
-    CoveringViolationError,
     DomainError,
     HypothesisError,
     InvalidDimensionError,
@@ -37,18 +39,11 @@ from .geometry import (
     cube_lattice,
     jung_nearest,
     jung_radius,
-    random_ball_points,
 )
 from .maps import SampledMap
 
-# Grid spacing is alpha/sqrt(dim) * (1 - GRID_SAFETY).  The safety margin
-# keeps every point of the ball strictly inside some tent support, which
-# bounds the partition-of-unity denominators away from zero (>=
-# GRID_SAFETY * alpha/2) and with it the slopes of the embedding weights.
-GRID_SAFETY = 0.5
-
 DEFAULT_GRID_BUDGET = 2_000_000
-DEFAULT_EVAL_BUDGET = 100_000
+DEFAULT_EVAL_BUDGET = 100_000  # pivots of the fixed-point path
 
 __all__ = [
     "EmbeddedPoint",
@@ -124,57 +119,42 @@ class PipelineParams:
 
 
 class SampleGrid:
-    """The ball lattice of an axis grid of the given spacing
-    (geometry.ball_lattice over spacing times the integer indices within
-    +-ceil(1/spacing) per axis), sampled lazily: f is evaluated in batch
-    at a lattice point the first time an embedding touches it, and the
-    value is kept by integer lattice index.
+    """The vertices s*k (k an integer row) of the Kuhn triangulation of
+    spacing s = alpha/(2 sqrt(dim)), sampled lazily: f is evaluated in
+    batch at the radial projection onto the ball of each vertex the first
+    time it is touched, and the value is kept by the vertex's integer row.
 
     `points` and `values` hold the touched samples in first-touch order;
-    `materialize` touches the whole lattice, in ball_lattice order.  The
-    cube must fit `max_points`, which keeps the lattice keys within int64.
+    `materialize` touches the ball lattice of the vertices
+    (geometry.ball_lattice), in its order.  The cube of vertices over
+    [-1, 1]^dim must fit `max_points`.
     """
 
-    def __init__(self, f, dim: int, alpha: float, spacing: float,
-                 max_points: int = DEFAULT_GRID_BUDGET):
+    def __init__(self, f, dim: int, alpha: float, max_points: int = DEFAULT_GRID_BUDGET):
         dim = check_dim(dim)
-        if alpha <= 0 or spacing <= 0:
-            raise DomainError(f"alpha and spacing must be positive, got {alpha} and {spacing}")
+        if alpha <= 0:
+            raise DomainError(f"alpha must be positive, got {alpha}")
         if max_points > np.iinfo(np.int64).max:
-            raise DomainError(f"grid budget {max_points} overflows the int64 lattice keys")
+            raise DomainError(f"grid budget {max_points} overflows the int64 lattice indices")
+        spacing = alpha / math.sqrt(dim) / 2.0
         half_count = int(math.ceil(1.0 / spacing))
         per_axis = 2 * half_count + 1
         if per_axis ** dim > max_points:
+            # the alpha whose cube has max_points vertices
+            min_alpha = 2.0 / (max(2.0, max_points ** (1.0 / dim)) - 1.0) * math.sqrt(dim) * 2.0
             raise BudgetExceededError(
                 f"grid for alpha={alpha} needs {per_axis ** dim} points, over the "
-                f"budget of {max_points}; smallest feasible alpha is about "
-                f"{_min_feasible_alpha(dim, max_points):.3g}",
+                f"budget of {max_points}; smallest feasible alpha is about {min_alpha:.3g}",
                 limit=max_points,
                 required=per_axis ** dim,
-                min_feasible_alpha=_min_feasible_alpha(dim, max_points),
+                min_feasible_alpha=min_alpha,
             )
         self.f = f
         self.dim = dim
         self.alpha = float(alpha)
-        self.spacing = float(spacing)
+        self.spacing = spacing
         self._half_count = half_count
-        self._half_alpha = self.alpha / 2.0
-        self._half_diag = self.spacing * math.sqrt(dim) / 2.0
-        # A sample within alpha/2 of y is, before projection, within
-        # `reach` of y, hence within reach/spacing + sqrt(dim)/2 index
-        # units of round(y/spacing).
-        self._reach = self._half_alpha + self._half_diag
-        offsets = _index_ball(dim, self._reach / self.spacing + math.sqrt(dim) / 2.0,
-                              2 * half_count)
-        # Row-major mixed-radix key of each cube index, below per_axis**dim;
-        # the key of c + offset is c @ radix plus the offset's key.
-        self._radix = per_axis ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        self._offsets = offsets.astype(float)
-        self._offset_keys = (offsets + half_count) @ self._radix
-        # Sorted keys of the touched samples with each one's slot, ended by a
-        # sentinel above every key so that a searchsorted position is valid.
-        self._keys = np.array([np.iinfo(np.int64).max])
-        self._slots = np.array([-1])
+        self._slots: dict[bytes, int] = {}
         self._points = np.empty((0, dim))
         self._values = np.empty((0, dim))
 
@@ -195,79 +175,40 @@ class SampleGrid:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def near(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The samples strictly within alpha/2 of y, in ball_lattice order:
-        their slots, points and tents alpha/2 - ||z - y||."""
-        c = np.rint(y / self.spacing)
-        k = c + self._offsets
-        pts = k * self.spacing
-        near_sphere = math.sqrt(y @ y) + self._reach > 1.0
-        if near_sphere:  # geometry.ball_lattice on the candidates, row for row
-            norms = np.sqrt((pts * pts).sum(axis=1))
-            member = ((norms <= 1.0 + self._half_diag)
-                      & (np.abs(k).max(axis=1) <= self._half_count))
-            pts = pts / np.maximum(norms, 1.0)[:, None]
-        d = pts - y
-        tents = self._half_alpha - np.sqrt((d * d).sum(axis=1))
-        if near_sphere:
-            kept = np.flatnonzero((tents > 0.0) & member)
-            kept = kept[np.argsort(norms[kept] > 1.0, kind="stable")]
-        else:  # every candidate within alpha/2 of y is inside the ball
-            kept = np.flatnonzero(tents > 0.0)
-        pts = pts[kept]
-        keys = self._offset_keys[kept] + int(c.astype(np.int64) @ self._radix)
-        return self._touch(keys, pts), pts, tents[kept]
+    def touch(self, ks: np.ndarray) -> np.ndarray:
+        """Slots of the vertices with the given distinct integer rows; f is
+        evaluated in one batch at the projections of the new ones."""
+        keys = [k.tobytes() for k in ks]
+        slots = [self._slots.get(key, -1) for key in keys]
+        new = [i for i, slot in enumerate(slots) if slot < 0]
+        if new:
+            pts = ks[new] * self.spacing
+            pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
+            values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape)
+            if not np.all(np.linalg.norm(values, axis=1) <= 1.0 + TOL_GEOM):  # NaN too
+                raise DomainError("some sample value lies outside the unit ball")
+            for i, slot in zip(new, range(len(self), len(self) + len(new))):
+                slots[i] = self._slots[keys[i]] = slot
+            self._points = np.concatenate([self._points, pts])
+            self._values = np.concatenate([self._values, values])
+        return np.array(slots)
 
     def materialize(self) -> SampleGrid:
-        """Touch every lattice point, in ball_lattice order; returns the grid."""
+        """Touch the ball lattice of the vertices, in its order; returns the grid."""
         axis = np.arange(-self._half_count, self._half_count + 1)
         k = cube_lattice(axis, self.dim)
-        rows, pts = ball_lattice(k * self.spacing, self.spacing)
-        self._touch((k[rows] + self._half_count) @ self._radix, pts)
+        rows, _ = ball_lattice(k * self.spacing, self.spacing)
+        self.touch(k[rows])
         return self
-
-    def _touch(self, keys: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Slots of the lattice points with the given (distinct) keys and
-        sample points; f is evaluated in one batch at the new ones."""
-        pos = np.searchsorted(self._keys, keys)
-        found = self._keys[pos] == keys
-        if found.all():
-            return self._slots[pos]
-        slots = np.empty(keys.shape[0], dtype=np.int64)
-        slots[found] = self._slots[pos[found]]
-        new = np.flatnonzero(~found)
-        # SampledMap checks the values: shape, finite, inside the ball.
-        fresh = SampledMap(pts[new], self.f.batch(pts[new]), covering_radius=self._half_alpha)
-        slots[new] = np.arange(len(self), len(self) + new.size)
-        self._points = np.concatenate([self._points, fresh.points])
-        self._values = np.concatenate([self._values, fresh.values])
-        order = np.argsort(keys[new])
-        at = np.searchsorted(self._keys, keys[new][order])
-        self._keys = np.insert(self._keys, at, keys[new][order])
-        self._slots = np.insert(self._slots, at, slots[new][order])
-        return slots
-
-
-def _index_ball(dim: int, radius: float, bound: int) -> np.ndarray:
-    """Integer vectors of norm <= radius and entries within +-bound, in
-    row-major order; built axis by axis so no box of the full radius is
-    materialized."""
-    r = min(int(math.floor(radius)), bound)
-    offsets = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(dim):
-        rows = np.repeat(offsets, 2 * r + 1, axis=0)
-        last = np.tile(np.arange(-r, r + 1, dtype=np.int64), offsets.shape[0])
-        offsets = np.concatenate([rows, last[:, None]], axis=1)
-        offsets = offsets[(offsets * offsets).sum(axis=1) <= radius * radius]
-    return offsets
 
 
 @dataclass(frozen=True)
 class EmbeddedPoint:
-    """A point expressed in the nerve of the sample cover: support slots
-    into the grid, their points, and the tent weights over them.  The
-    support has diameter at most alpha (all members lie within alpha/2 of
-    the embedded point), i.e. it spans a Rips simplex of VR(grid; alpha)."""
+    """A point expressed in the Kuhn triangulation: the slots of the
+    vertices of its simplex with positive barycentric weight, their sample
+    points, and those weights.  Every support point lies strictly within
+    alpha/2 of the embedded point, so the support spans a simplex of the
+    Rips complex VR(grid; alpha)."""
 
     support: np.ndarray
     points: np.ndarray
@@ -280,11 +221,11 @@ class EmbeddedPoint:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """A point y with residual ||F(y) - y||; residual <= fp_tol on success."""
+    """A point y with residual ||F(y) - y||, found after `pivots` pivots."""
 
     y: np.ndarray
     residual: float
-    evaluations: int = 0
+    pivots: int = 0
 
 
 @dataclass(frozen=True)
@@ -325,43 +266,41 @@ class EpsFixedPointCertificate:
     anchor_term: float = 0.0
 
 
-def _min_feasible_alpha(dim: int, max_points: int) -> float:
-    per_axis = max(2.0, max_points ** (1.0 / dim))
-    spacing = 2.0 / (per_axis - 1.0)
-    return spacing * math.sqrt(dim) / (1.0 - GRID_SAFETY)
-
-
 def build_sample_grid(f, dim: int, alpha: float,
                       max_points: int = DEFAULT_GRID_BUDGET) -> SampleGrid:
-    """The lazy sample grid of f fine enough that alpha/2-balls centered at
-    the samples cover the unit ball.
+    """The lazy sample grid of f whose Kuhn simplices have diameter alpha/2.
 
-    The samples are the ball lattice of the grid (geometry.ball_lattice),
-    so the shell just outside the sphere is projected onto it and the
-    covering bound holds.  The budget is checked up front against the whole
-    cube; f is evaluated at most once per sample, when it is first touched.
+    The budget is checked up front against the whole cube of vertices; f
+    is evaluated at most once per vertex, when it is first touched.
     """
-    spacing = alpha / math.sqrt(dim) * (1.0 - GRID_SAFETY)
-    return SampleGrid(f, dim, alpha, spacing, max_points=max_points)
+    return SampleGrid(f, dim, alpha, max_points=max_points)
 
 
 def embed(y, grid: SampleGrid) -> EmbeddedPoint:
-    """Tent-weight embedding of y into the nerve of the sample cover.
+    """Barycentric embedding of y into the Kuhn triangulation of the grid.
 
-    Support: samples strictly within alpha/2 of y.  Weights: the tents
-    alpha/2 - ||z - y||, normalized to sum one; they vanish exactly where a
-    sample leaves the support, so the embedding is continuous in y.
+    The simplex holding u = y/s has base floor(u) and steps along the axes
+    in decreasing order of the fractional parts f; its weights are
+    1 - f_(1), f_(1) - f_(2), ..., f_(n).  Vertices of weight 0 are dropped,
+    so the embedding is continuous in y.
     """
     y = as_vector(y)
     if y.shape[0] != grid.dim:
         raise InvalidDimensionError(f"point of dimension {y.shape[0]} for a {grid.dim}-D grid")
     if float(np.linalg.norm(y)) > 1.0 + TOL_GEOM:
         raise DomainError("embedding is defined on the unit ball only")
-    support, points, tents = grid.near(y)
-    if support.size == 0:
-        raise CoveringViolationError(
-            f"no sample within {grid.alpha / 2.0} of {y}; the grid does not cover the ball")
-    return EmbeddedPoint(support=support, points=points, weights=tents / tents.sum())
+    u = y / grid.spacing
+    base = np.floor(u)
+    frac = u - base
+    order = np.argsort(-frac, kind="stable")
+    rank = np.empty(grid.dim, dtype=np.int64)
+    rank[order] = np.arange(grid.dim)
+    steps = np.arange(grid.dim + 1)[:, None] > rank[None, :]
+    descending = frac[order]
+    weights = np.concatenate([[1.0], descending]) - np.concatenate([descending, [0.0]])
+    kept = np.flatnonzero(weights > 0.0)
+    support = grid.touch(base.astype(np.int64) + steps[kept])
+    return EmbeddedPoint(support=support, points=grid.points[support], weights=weights[kept])
 
 
 def simplicial_image_check(grid: SampleGrid, bound: float,
@@ -393,93 +332,141 @@ def simplicial_image_check(grid: SampleGrid, bound: float,
 
 
 def averaged_map_eval(y, grid: SampleGrid) -> np.ndarray:
-    """The averaged pushforward F(y): embedding weights applied to the
-    sampled values.  A convex combination of ball points, hence in the
-    ball; continuous wherever the embedding is."""
+    """The averaged map F(y): barycentric weights applied to the sampled
+    values of the simplex holding y.  A convex combination of ball points,
+    hence in the ball; continuous and piecewise linear."""
     emb = embed(y, grid)
     return emb.weights @ grid.values[emb.support]
 
 
-def _ball_grid_points(dim: int, per_axis: int, center: np.ndarray, span: float) -> np.ndarray:
-    pts = center + cube_lattice(np.linspace(-span, span, per_axis), dim)
-    norms = np.linalg.norm(pts, axis=1)
-    outside = norms > 1.0
-    pts[outside] /= norms[outside, None]
-    return np.unique(pts, axis=0)
+# Refactorize the basis inverse after this many rank-1 updates.
+_REFACTOR_EVERY = 64
 
 
-def find_fixed_point(F, dim: int, fp_tol: float = 1e-6,
-                     max_evals: int = DEFAULT_EVAL_BUDGET,
-                     seed: int = 0) -> FixedPointResult:
-    """Locate y with ||F(y) - y|| <= fp_tol for a continuous self-map F of
-    the ball.
+def find_fixed_point(F, grid: SampleGrid,
+                     max_pivots: int = DEFAULT_EVAL_BUDGET) -> FixedPointResult:
+    """A fixed point of the averaged map F of the grid, exact up to
+    rounding, by Merrill's restart algorithm (Merrill 1972; Todd 1976,
+    LNEMS 124).
 
-    Strategy: damped iteration y <- y + t (F(y) - y) with residual
-    backtracking on t, multistarted from a coarse ball grid, then a
-    coarse-to-fine residual grid search around the best candidate with
-    damped polishing at every level.  A zero-residual point exists, so
-    refinement terminates; if the evaluation budget runs out first a
-    NoConvergenceError carries the best point found (never a nonexistence
-    claim).
+    One path (see _merrill_path) per level of spacing 2^j s, from within a
+    factor sqrt(2) of 0.5/sqrt(n) down to the grid's spacing s, each
+    started next to the fixed point of the level before: a path's length
+    grows with the distance from its start to the fixed point in cells, so
+    every level takes a few pivots where one path at spacing s would cross
+    up to 1/s cells.  The coarse lattices are sublattices of the grid's,
+    so their samples are grid samples.  NoConvergenceError means only that
+    max_pivots, counted over all levels, ran out.  F is called for the
+    residual.
     """
-    if fp_tol <= 0:
-        raise DomainError(f"fp_tol must be positive, got {fp_tol}")
-    state = {"evals": 0, "best_y": None, "best_r": math.inf}
-
-    def probe(y: np.ndarray) -> tuple[float, np.ndarray]:
-        """One budgeted evaluation: residual norm and step direction."""
-        if state["evals"] >= max_evals:
+    n, s = grid.dim, grid.spacing
+    # Distinct irrational fractional parts keep each start facet nondegenerate.
+    offset = 1e-3 * ((np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0)
+    levels = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
+    y, pivots = np.zeros(n), 0
+    for step in 2 ** np.arange(levels, -1, -1):
+        c = y + step * s * offset
+        # In the ball, so that every zero on the path is too.
+        c /= max(1.0, float(np.linalg.norm(c)))
+        y, used, reached = _merrill_path(grid, int(step), c, max_pivots - pivots)
+        pivots += used
+        if not reached:
+            residual = float(np.linalg.norm(F(y) - y))
             raise NoConvergenceError(
-                f"fixed-point search exhausted {max_evals} evaluations; "
-                f"best residual {state['best_r']:.3g}",
-                best_point=state["best_y"], best_residual=state["best_r"])
-        state["evals"] += 1
-        d = F(y) - y
-        r = float(np.linalg.norm(d))
-        if r < state["best_r"]:
-            state["best_y"], state["best_r"] = y.copy(), r
-        return r, d
+                f"fixed-point path exhausted {max_pivots} pivots; residual {residual:.3g} "
+                "at its last point",
+                best_point=y, best_residual=residual)
+    return FixedPointResult(y, float(np.linalg.norm(F(y) - y)), pivots)
 
-    def damped(y: np.ndarray, max_steps: int = 120) -> None:
-        t = 1.0
-        for _ in range(max_steps):
-            r, d = probe(y)
-            if r <= fp_tol:
-                return
-            while t > 1e-7:
-                cand = y + t * d  # convex combination: stays in the ball
-                if probe(cand)[0] < r:
-                    y = cand
-                    t = min(1.0, 2.0 * t)
-                    break
-                t *= 0.5
-            else:
-                return  # no damping level makes progress from here
 
-    starts = [np.zeros(dim)]
-    starts += list(0.5 * np.eye(dim)) + list(-0.5 * np.eye(dim))
-    starts += list(random_ball_points(np.random.default_rng(seed), dim, 6))
+def _merrill_path(grid: SampleGrid, step: int, c: np.ndarray,
+                  max_pivots: int) -> tuple[np.ndarray, int, bool]:
+    """Merrill's path on the Freudenthal triangulation of R^n x [0, 1] with
+    spacing h = step * s in space and one step in time, from c.
 
-    for y0 in starts:
-        damped(np.asarray(y0, dtype=float))
-        if state["best_r"] <= fp_tol:
-            return FixedPointResult(state["best_y"], state["best_r"], state["evals"])
+    A vertex (x, 0) is labelled c - x, and a vertex (x, 1) is labelled
+    f(pi x) - x, pi the projection onto the ball.  A facet is completely
+    labelled when 0 is a convex combination of its labels.  The one such
+    facet at level 0 is the Kuhn simplex of c; from there each pivot brings
+    the vertex opposite the current facet into the basis and drops the one
+    the lexicographic ratio test picks, until the facet's zero reaches
+    level 1, where it is a fixed point of the level's averaged map.  Every
+    zero on the path is a convex combination of c and ball points, so the
+    path stays bounded and ends after finitely many pivots.  Returns the
+    last zero (in space), the pivots used and whether it is at level 1.
+    """
+    n, h = grid.dim, step * grid.spacing
+    u = c / h
+    base = np.floor(u).astype(np.int64)
+    # The slab simplex over the Kuhn simplex of c: the space axes in
+    # decreasing order of the fractional parts of u, then time (axis n).
+    perm = [int(i) for i in np.argsort(base - u, kind="stable")] + [n]
+    unit = np.eye(n + 1, dtype=np.int64)
+    verts = [np.append(base, 0)]
+    for axis in perm:
+        verts.append(verts[-1] + unit[axis])
+    # The path mostly ends over the start simplex: sample its vertices in one batch.
+    grid.touch(step * np.array([v[:n] for v in verts[:n + 1]]))
 
-    # Coarse global pass, then shrink around the running best.
-    per_axis = 9 if dim <= 2 else 7
-    for pt in _ball_grid_points(dim, per_axis, np.zeros(dim), 1.0):
-        probe(pt)
-    span = 2.0 / (per_axis - 1)
-    while state["best_r"] > fp_tol and span > 1e-13:
-        for pt in _ball_grid_points(dim, per_axis, state["best_y"], span):
-            probe(pt)
-        damped(state["best_y"])
-        span *= 0.4
-    if state["best_r"] > fp_tol:
-        raise NoConvergenceError(
-            f"fixed-point refinement stalled at residual {state['best_r']:.3g}",
-            best_point=state["best_y"], best_residual=state["best_r"])
-    return FixedPointResult(state["best_y"], state["best_r"], state["evals"])
+    def column(v: np.ndarray) -> list[float]:
+        top = c
+        if v[n]:
+            slot = grid.touch(step * v[None, :n])[0]  # before reading values, which it may grow
+            top = grid.values[slot]
+        return [1.0] + (top - h * v[:n]).tolist()
+
+    # The basis: its [1; label] columns, their inverse (row r for column r),
+    # and the space part and level of the vertex behind each column; row_of
+    # maps simplex positions to columns (-1 for the vertex about to enter).
+    # Small dense algebra in plain Python: cheaper than numpy calls here.
+    columns = [column(v) for v in verts[:n + 1]]
+    inverse = np.linalg.inv(np.array(columns).T).tolist()
+    space = [v[:n] for v in verts[:n + 1]]
+    level = [0] * (n + 1)
+    row_of = list(range(n + 1)) + [-1]
+    enter = n + 1
+
+    def zero(weights: list[float]) -> np.ndarray:
+        return h * (np.array(weights) @ np.array(space)) / sum(weights)
+
+    for pivots in range(1, max_pivots + 1):
+        a = column(verts[enter])
+        d = [sum(x * y for x, y in zip(row, a)) for row in inverse]
+        tol = 1e-12 * max(map(abs, d))
+        # Lexicographic ratio test, exact in floats: the lexicographically
+        # smallest row of the inverse over its entry of d.
+        r = min((i for i in range(n + 1) if d[i] > tol),
+                key=lambda i: [x / d[i] for x in inverse[i]])
+        pivot_row = [x / d[r] for x in inverse[r]]
+        inverse = [[x - di * p for x, p in zip(row, pivot_row)] for row, di in zip(inverse, d)]
+        inverse[r] = pivot_row
+        columns[r], space[r], level[r] = a, verts[enter][:n], int(verts[enter][n])
+        if pivots % _REFACTOR_EVERY == 0:
+            inverse = np.linalg.inv(np.array(columns).T).tolist()
+        # The facet's zero is at time sum(weights at level 1): at time 1, up
+        # to rounding, it is a fixed point.  Degenerate maps (values on
+        # lattice faces) get there before the whole facet reaches level 1.
+        at_top = [row[0] * k for row, k in zip(inverse, level)]
+        if sum(at_top) >= 1.0 - 1e-12:
+            return zero(at_top), pivots, True
+        leave = row_of.index(r)
+        row_of[enter], row_of[leave] = r, -1
+        # Replace the leaving vertex (Freudenthal pivot rules).
+        if leave == 0:
+            verts = verts[1:] + [verts[n + 1] + unit[perm[0]]]
+            perm = perm[1:] + perm[:1]
+            row_of = row_of[1:] + row_of[:1]
+            enter = n + 1
+        elif leave == n + 1:
+            verts = [verts[0] - unit[perm[-1]]] + verts[:n + 1]
+            perm = perm[-1:] + perm[:-1]
+            row_of = row_of[-1:] + row_of[:-1]
+            enter = 0
+        else:
+            perm[leave - 1], perm[leave] = perm[leave], perm[leave - 1]
+            verts[leave] = verts[leave - 1] + unit[perm[leave - 1]]
+            enter = leave
+    return zero([row[0] for row in inverse]), max(max_pivots, 0), False
 
 
 def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
@@ -536,14 +523,13 @@ class PipelineRun:
 
 def run_pipeline(f, dim: int, eps: float, eps_prime: float,
                  fp_tol: float = 1e-6,
-                 grid_budget: int = DEFAULT_GRID_BUDGET,
-                 seed: int = 0) -> PipelineRun:
+                 grid_budget: int = DEFAULT_GRID_BUDGET) -> PipelineRun:
     """End-to-end certificate search for a map of discontinuity scale eps.
 
     Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
     maps admit no certificate).  Picks gamma as half the available slack
     and alpha from eps so that the certificate chain arithmetic closes,
-    then solves for a fixed point of the averaged map on the lazy grid.
+    then finds a fixed point of the averaged map on the lazy grid.
     extract_certificate checks the Jung term on the support at that fixed
     point; while it fails alpha is halved, until the grid budget stops a
     map that is not eps-continuous.  The returned certificate's
@@ -564,8 +550,7 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
         params = PipelineParams(dim=dim, eps=eps, eps_prime=eps_prime,
                                 gamma=gamma, alpha=alpha, fp_tol=fp_tol)
         grid = build_sample_grid(f, dim, alpha, max_points=grid_budget)
-        fixed_point = find_fixed_point(lambda y: averaged_map_eval(y, grid), dim,
-                                       fp_tol=fp_tol, max_evals=DEFAULT_EVAL_BUDGET, seed=seed)
+        fixed_point = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid)
         try:
             certificate = extract_certificate(fixed_point, grid, params)
         except CertificateError:

@@ -171,7 +171,7 @@ def test_criterion_8_cli_determinism_and_formats(tmp_path):
         for argv in (
             ["radius", "--n", "3"],
             ["extremal", "--n", "2", "--eps", "1", "--resolution", "101"],
-            ["pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--seed", "0"],
+            ["pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"],
             ["figure", "--eps", "1"],
         ):
             a, b = tmp_path / "a.out", tmp_path / "b.out"

@@ -20,6 +20,7 @@ from ballfix.cli import (
     main,
     render_figure,
 )
+from ballfix.errors import DomainError
 from ballfix.maps import ExtremalMap, SampledMap, StepMap1D, sample_map_on_grid
 from ballfix.pipeline import run_pipeline
 
@@ -56,6 +57,15 @@ def test_radius_single_row(tmp_path):
 
 def test_radius_usage_error():
     assert run_cli("radius", "--n", "0") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "2.5"])
+def test_radius_rejects_eps_outside_the_range(eps, capsys):
+    # the same (0, 2] range every other subcommand enforces
+    assert run_cli("radius", "--n", "2", "--eps", eps) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"discontinuity scale must lie in (0, 2.0], got {float(eps)}" in captured.err
 
 
 # --- extremal -----------------------------------------------------------------
@@ -242,6 +252,16 @@ def test_verify_csv_is_the_extremal_csv_without_a_tightness_sweep(tmp_path, monk
     assert verify.read_bytes() == extremal.read_bytes()
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_trial(trials, capsys):
+    assert run_cli("verify", "--n", "2", "--resolution", "21", "--trials", trials) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"trials must be at least 1, got {trials}" in captured.err
+    with pytest.raises(DomainError):
+        oracle.jung_random_test(2, int(trials))
+
+
 def test_verify_budget_exit():
     assert run_cli("verify", "--n", "4", "--eps", "1",
                    "--resolution", "500") == EXIT_BUDGET
@@ -291,7 +311,7 @@ def test_figure_io_error():
 @pytest.mark.parametrize("argv", [
     ("radius", "--n", "4"),
     ("extremal", "--n", "2", "--eps", "1", "--resolution", "101"),
-    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--seed", "3"),
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"),
     ("verify", "--n", "1", "--eps", "1", "--resolution", "101", "--trials", "100"),
     ("figure", "--eps", "1"),
 ])
@@ -309,6 +329,7 @@ def test_outputs_byte_identical_across_runs(tmp_path, argv):
     ("figure", "--seed", "1"),
     ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--format", "csv"),
     ("figure", "--format", "csv"),
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--seed", "0"),
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,10 @@
 """The shared ball lattice and neighborhood diameter against reference
 implementations: the point constructions the grid builders used before
-they shared `geometry.ball_lattice`, a KD-tree over the whole lattice for
-the lazy sample grid, and a direct neighborhood scan."""
+they shared `geometry.ball_lattice`, a Kuhn simplex found by search and a
+KD-tree over every projected vertex for the lazy sample grid, and a direct
+neighborhood scan."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,11 +14,15 @@ from scipy.spatial import cKDTree
 from ballfix.geometry import random_ball_points
 from ballfix.maps import ConstantMap, ExtremalMap, neighborhood_diameter, sample_map_on_grid
 from ballfix.oracle import GridSpec, ball_grid, iter_ball_grid
-from ballfix.pipeline import GRID_SAFETY, averaged_map_eval, build_sample_grid, embed
+from ballfix.pipeline import averaged_map_eval, build_sample_grid, embed
+
+
+def reference_spacing(dim, alpha):
+    return alpha / math.sqrt(dim) * 0.5
 
 
 def reference_sample_grid_points(dim, alpha):
-    spacing = alpha / math.sqrt(dim) * (1.0 - GRID_SAFETY)
+    spacing = reference_spacing(dim, alpha)
     half_count = int(math.ceil(1.0 / spacing))
     axis = np.arange(-half_count, half_count + 1) * spacing
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
@@ -78,31 +84,69 @@ def lattice_probes(rng, dim, alpha, count):
     return np.concatenate([random_ball_points(rng, dim, count), near, on_sphere])
 
 
+def reference_kuhn_simplex(u):
+    """The Kuhn simplex holding u, by search over every axis order: the
+    order in which u - floor(u) has nonincreasing coordinates.  Returns its
+    integer vertices and the barycentric weights of u, solved for."""
+    base = np.floor(u)
+    frac = u - base
+    dim = u.shape[0]
+    for order in itertools.permutations(range(dim)):
+        if all(frac[a] >= frac[b] for a, b in zip(order, order[1:])):
+            break
+    vertices = [base.copy()]
+    for axis in order:
+        vertices.append(vertices[-1].copy())
+        vertices[-1][axis] += 1.0
+    vertices = np.array(vertices)
+    system = np.vstack([np.ones(dim + 1), vertices.T])
+    weights = np.linalg.solve(system, np.concatenate([[1.0], u]))
+    return vertices, weights
+
+
+def projected(vertices, spacing):
+    pts = vertices * spacing
+    return pts / np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("alpha", [1.0, 0.6, 0.37])
 def test_lazy_grid_matches_kdtree_reference(dim, alpha):
-    points = reference_sample_grid_points(dim, alpha)
-    values = CountingSmoothMap(dim).batch(points)
-    tree = cKDTree(points)
-    reference = {tuple(p) for p in points}
-    f = CountingSmoothMap(dim)
+    spacing = reference_spacing(dim, alpha)
+    # every vertex of the cube one step beyond [-1, 1]^dim, projected
+    half = int(math.ceil(1.0 / spacing)) + 1
+    cube = np.stack([g.ravel() for g in np.meshgrid(*([np.arange(-half, half + 1)] * dim),
+                                                     indexing="ij")], axis=1)
+    tree = cKDTree(projected(cube, spacing))
+    f, values = CountingSmoothMap(dim), CountingSmoothMap(dim)
     grid = build_sample_grid(f, dim, alpha)
+    assert grid.spacing == spacing
     touched = set()
     for y in lattice_probes(np.random.default_rng(dim + int(100 * alpha)), dim, alpha, 60):
-        # the strict tent rule: a sample at exactly alpha/2 has weight 0
-        idx = np.asarray(tree.query_ball_point(y, alpha / 2.0), dtype=int)
-        tents = alpha / 2.0 - np.linalg.norm(points[idx] - y, axis=1)
-        idx, tents = idx[tents > 0.0], tents[tents > 0.0]
+        vertices, weights = reference_kuhn_simplex(y / spacing)
+        # a Kuhn simplex: consecutive vertices differ by distinct unit vectors
+        steps = np.diff(vertices, axis=0)
+        assert np.array_equal(steps[np.argsort(steps.argmax(axis=1))], np.eye(dim))
+        assert np.abs(weights @ vertices * spacing - y).max() <= 1e-12
+        kept = weights > 1e-12
         emb = embed(y, grid)
-        support = {tuple(p) for p in grid.points[emb.support]}
-        assert support == {tuple(p) for p in points[idx]}
-        expected = (tents / tents.sum()) @ values[idx]
+        # the support: the vertices of positive weight, with their weights
+        assert np.all(emb.weights > 0.0)
+        assert abs(emb.weights.sum() - 1.0) <= 1e-12
+        assert emb.support.size == kept.sum()
+        np.testing.assert_allclose(emb.weights, weights[kept], rtol=0, atol=1e-12)
+        assert np.array_equal(grid.points[emb.support], projected(vertices[kept], spacing))
+        assert np.abs(emb.weights @ vertices[kept] * spacing - y).max() <= 1e-12
+        # every support point is a projected vertex strictly within alpha/2 of y
+        near = tree.query_ball_point(y, alpha / 2.0)
+        assert {tuple(p) for p in grid.points[emb.support]} <= {tuple(p) for p in tree.data[near]}
+        assert np.linalg.norm(grid.points[emb.support] - y, axis=1).max() < alpha / 2.0
+        expected = emb.weights @ values.batch(grid.points[emb.support])
         assert np.abs(averaged_map_eval(y, grid) - expected).max() <= 1e-12
-        touched |= support
+        touched |= {tuple(v) for v in vertices[kept]}
         calls = f.calls
         averaged_map_eval(y.copy(), grid)
         assert f.calls == calls
-    assert {tuple(p) for p in grid.points} <= reference
     assert len(grid) == len(touched) == f.rows
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ballfix.errors import (
     BudgetExceededError,
-    CoveringViolationError,
     DomainError,
     HypothesisError,
     InvalidDimensionError,
@@ -92,31 +91,37 @@ def test_build_sample_grid_budget_error():
 
 
 def _coarse_grid(alpha):
-    # identity samples on a lattice of spacing 0.3, too coarse to cover the
-    # ball at small alpha: each lattice point is its own neighbourhood
-    return SampleGrid(IdentityMap(2), 2, alpha, spacing=0.3)
+    # identity samples on the Kuhn lattice of spacing alpha/(2 sqrt(2))
+    return SampleGrid(IdentityMap(2), 2, alpha)
 
 
 def test_embed_singleton_support():
     grid = _coarse_grid(alpha=0.2)
-    emb = embed(np.array([-0.3, 0.0]), grid)
+    emb = embed(grid.spacing * np.array([-3.0, 0.0]), grid)  # a lattice vertex
     assert list(emb.support) == [0]
     np.testing.assert_allclose(emb.combination.weights, [1.0])
 
 
 def test_embed_symmetric_pair_weights():
-    # y equidistant from two samples, both strictly inside the tent radius
-    alpha = 0.4  # tent radius 0.2; samples at distance 0.15, the next at 0.335
-    grid = _coarse_grid(alpha=alpha)
-    emb = embed(np.array([0.15, 0.0]), grid)
+    # y halfway along a lattice edge: its two ends, weighted equally
+    grid = _coarse_grid(alpha=0.4)
+    emb = embed(grid.spacing * np.array([0.5, 0.0]), grid)
     assert sorted(emb.support) == [0, 1]
     np.testing.assert_allclose(emb.combination.weights, [0.5, 0.5], atol=TOL_WEIGHTS)
 
 
-def test_embed_covering_violation():
-    grid = _coarse_grid(alpha=0.2)
-    with pytest.raises(CoveringViolationError):
-        embed(np.array([0.15, 0.15]), grid)
+def test_embed_covers_every_point_of_the_ball():
+    # the Kuhn simplices tile space: no point, on the sphere included, is
+    # left without support, however coarse the lattice
+    grid = _coarse_grid(alpha=0.8)
+    rng = np.random.default_rng(4)
+    probes = random_ball_points(rng, 2, 200)
+    probes = np.concatenate([probes, probes / np.linalg.norm(probes, axis=1, keepdims=True),
+                             [[0.15, 0.15], [0.0, 0.9]]])
+    for y in probes:
+        emb = embed(y, grid)
+        assert emb.support.size >= 1
+        assert np.linalg.norm(grid.points[emb.support] - y, axis=1).max() < grid.alpha / 2.0
 
 
 def test_embed_rejects_outside_ball():
@@ -215,8 +220,8 @@ def test_averaged_map_constant():
 
 def test_averaged_map_singleton_support_returns_sample_value():
     grid = _coarse_grid(alpha=0.2)
-    np.testing.assert_allclose(
-        averaged_map_eval(np.array([-0.3, 0.0]), grid), [-0.3, 0.0], atol=1e-15)
+    vertex = grid.spacing * np.array([-3.0, 0.0])
+    np.testing.assert_allclose(averaged_map_eval(vertex, grid), vertex, atol=1e-15)
 
 
 def test_averaged_identity_stays_close():
@@ -237,31 +242,44 @@ def test_averaged_map_output_in_ball():
 # --- fixed-point search -----------------------------------------------------------
 
 
+class NegationMap:
+    dim = 1
+
+    def batch(self, xs):
+        return -xs
+
+
+def _solve(f, dim, alpha, **kwargs):
+    grid = build_sample_grid(f, dim, alpha)
+    return grid, find_fixed_point(lambda y: averaged_map_eval(y, grid), grid, **kwargs)
+
+
 def test_find_fixed_point_constant():
     c = np.array([0.3, -0.2])
-    result = find_fixed_point(lambda y: c, 2, fp_tol=1e-9)
-    np.testing.assert_allclose(result.y, c, atol=1e-9)
-    assert result.residual <= 1e-9
+    _, result = _solve(ConstantMap(c), 2, 0.3)
+    np.testing.assert_allclose(result.y, c, atol=1e-12)
+    assert result.residual <= 1e-12
 
 
 def test_find_fixed_point_negation():
-    result = find_fixed_point(lambda y: -y, 1, fp_tol=1e-9)
-    np.testing.assert_allclose(result.y, [0.0], atol=1e-9)
+    _, result = _solve(NegationMap(), 1, 0.3)
+    np.testing.assert_allclose(result.y, [0.0], atol=1e-12)
+    assert result.residual <= 1e-12
 
 
 def test_find_fixed_point_averaged_extremal():
-    grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.05)
-    result = find_fixed_point(lambda y: averaged_map_eval(y, grid), 2, fp_tol=1e-6)
-    assert result.residual <= 1e-6
+    grid, result = _solve(ExtremalMap(dim=2, eps=1.0), 2, 0.05)
+    assert result.residual <= 1e-12
     # the near-fixed region of the averaged extremal map hugs the origin
     assert np.linalg.norm(result.y) <= 0.05
+    np.testing.assert_allclose(averaged_map_eval(result.y, grid), result.y, atol=1e-12)
 
 
 def test_find_fixed_point_budget_error():
-    grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.05)
     with pytest.raises(NoConvergenceError) as err:
-        find_fixed_point(lambda y: averaged_map_eval(y, grid), 2, fp_tol=1e-12, max_evals=40)
+        _solve(ExtremalMap(dim=2, eps=1.0), 2, 0.05, max_pivots=1)
     assert err.value.best_residual is not None
+    assert err.value.best_point.shape == (2,)
 
 
 # --- certificates ------------------------------------------------------------------
@@ -271,8 +289,7 @@ def test_extract_certificate_constant_map():
     c = np.array([0.2, 0.1])
     params = PipelineParams(dim=2, eps=1.0, eps_prime=0.7, gamma=0.1,
                             alpha=0.05, fp_tol=1e-9)
-    grid = build_sample_grid(ConstantMap(c), 2, params.alpha)
-    fp = find_fixed_point(lambda y: averaged_map_eval(y, grid), 2, fp_tol=params.fp_tol)
+    grid, fp = _solve(ConstantMap(c), 2, params.alpha)
     cert = extract_certificate(fp, grid, params)
     assert cert.displacement <= params.alpha / 2.0 + params.fp_tol + TOL_GEOM
     np.testing.assert_allclose(cert.fz, c, atol=TOL_GEOM)

@@ -1,0 +1,152 @@
+"""Merrill's restart algorithm on the Kuhn triangulation: exact fixed
+points of the averaged map on the maps the damped iteration it replaced
+stalled on, on degenerate maps, far from the start, and under a pivot
+budget."""
+
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ballfix.errors import NoConvergenceError
+from ballfix.geometry import jung_radius
+from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap
+from ballfix.pipeline import (
+    PipelineParams,
+    averaged_map_eval,
+    build_sample_grid,
+    extract_certificate,
+    find_fixed_point,
+    run_pipeline,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.inputs import quantized_maps  # noqa: E402
+
+# The certify-coarse pool of the benchmark: its seed, then 480 1-D maps and
+# 240 2-D maps, drawn in that order.
+POOL_SEED = 20251214
+# The 2-D pool maps on which the damped iteration stalled above fp_tol.
+STALLED = (51, 72, 81, 99, 111, 137, 148, 175, 198)
+
+
+def coarse_pool():
+    rng = np.random.default_rng(POOL_SEED)
+    return {1: quantized_maps(rng, 480, 1, 0.2, 2.0, 4.0),
+            2: quantized_maps(rng, 240, 2, 0.3, 2.0, 4.0)}
+
+
+def certify(f, dim):
+    """run_pipeline at eps' = 1.6 eps/R_n, with the residual and a fresh
+    f(z) displacement checked."""
+    eps_prime = 1.6 * f.eps / jung_radius(dim)
+    run = run_pipeline(f, dim, f.eps, eps_prime)
+    cert = run.certificate
+    assert cert.trace.residual <= 1e-12
+    assert float(np.linalg.norm(f(cert.z) - cert.z)) < eps_prime
+    return run
+
+
+@pytest.mark.parametrize("index", STALLED)
+def test_maps_the_damped_iteration_stalled_on_certify(index):
+    certify(coarse_pool()[2][index], 2)
+
+
+def test_whole_coarse_pool_certifies():
+    for dim, pool in coarse_pool().items():
+        for f in pool:
+            certify(f, dim)
+
+
+@pytest.mark.parametrize("seed, count, dim, delta, index, margin", [
+    (97, 100, 2, 0.1, 39, 1.6),
+    (5044, 40, 3, 0.3, 25, 2.0),
+    (5047, 40, 3, 0.4, 36, 1.3),
+])
+def test_lattice_aligned_values_end_the_path(seed, count, dim, delta, index, margin):
+    # Quantized values are lattice vertices on some level, so a path's zero
+    # can reach time 1 on a facet that still has level-0 vertices, of
+    # weight 0 up to rounding.  Waiting for a facet wholly at level 1
+    # cycled on these maps; ending at time 1 certifies them in few pivots.
+    f = quantized_maps(np.random.default_rng(seed), count, dim, delta, 2.0, 4.0)[index]
+    eps_prime = margin * f.eps / jung_radius(dim)
+    run = run_pipeline(f, dim, f.eps, eps_prime)
+    assert run.fixed_point.residual <= 1e-12
+    assert run.fixed_point.pivots <= 1000
+    assert float(np.linalg.norm(f(run.certificate.z) - run.certificate.z)) < eps_prime
+
+
+def _solve(f, dim, alpha, **kwargs):
+    grid = build_sample_grid(f, dim, alpha)
+    result = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid, **kwargs)
+    return grid, result
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_identity_terminates(dim):
+    # every point of the ball is fixed: the labels are degenerate everywhere
+    grid, result = _solve(IdentityMap(dim), dim, 0.3)
+    assert result.residual <= 1e-12
+    np.testing.assert_allclose(averaged_map_eval(result.y, grid), result.y, atol=1e-12)
+    run = run_pipeline(IdentityMap(dim), dim, 1.0, 0.9)
+    assert run.certificate.displacement <= run.params.alpha / 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_constant_map_on_a_lattice_vertex_terminates(dim):
+    _, result = _solve(ConstantMap(np.zeros(dim)), dim, 0.3)
+    assert result.residual <= 1e-12
+    np.testing.assert_allclose(result.y, np.zeros(dim), atol=1e-12)
+    run = run_pipeline(ConstantMap(np.zeros(dim)), dim, 1.0, 0.9)
+    assert run.displacement_recheck <= run.params.alpha / 2.0
+
+
+@pytest.mark.parametrize("dim, face", [
+    (1, [0.5]),
+    (2, [0.5, 0.0]),  # the middle of an axis edge
+    (2, [0.5, 0.5]),  # the middle of a diagonal edge
+    (3, [0.5, 0.5, 0.0]),
+    (3, [2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),  # inside a triangle
+])
+def test_constant_map_on_a_kuhn_face_terminates(dim, face):
+    alpha = 0.3
+    value = alpha / math.sqrt(dim) / 2.0 * np.array(face)
+    grid, result = _solve(ConstantMap(value), dim, alpha)
+    assert result.residual <= 1e-12
+    np.testing.assert_allclose(result.y, value, atol=1e-12)
+    params = PipelineParams(dim=dim, eps=0.1, eps_prime=0.3, gamma=0.01, alpha=alpha,
+                            fp_tol=1e-9)
+    cert = extract_certificate(result, grid, params)
+    np.testing.assert_allclose(cert.fz, value, atol=1e-15)
+
+
+def test_a_pivot_budget_of_one_raises():
+    with pytest.raises(NoConvergenceError) as err:
+        _solve(ExtremalMap(dim=2, eps=1.0), 2, 0.2, max_pivots=1)
+    assert "1 pivots" in str(err.value)
+    assert np.linalg.norm(err.value.best_point) <= 1.0
+    assert err.value.best_residual >= 0.0
+
+
+def test_the_fixed_point_needs_few_pivots_and_samples():
+    # the path is short: tens of pivots and samples, not a search of the lattice
+    grid, result = _solve(ExtremalMap(dim=3, eps=1.0), 3, 0.1)
+    assert result.residual <= 1e-12
+    assert result.pivots <= 50
+    assert len(grid) <= 30
+
+
+def test_restarts_keep_a_far_fixed_point_cheap():
+    # the fixed point is about 240 cells of spacing 0.0035 from the start;
+    # coarse to fine, each level takes a few pivots
+    c = np.array([0.7, -0.5])
+    grid, result = _solve(ConstantMap(c), 2, 0.01)
+    assert grid.spacing * 240 < np.linalg.norm(c)
+    np.testing.assert_allclose(result.y, c, atol=1e-12)
+    assert result.pivots <= 60
+    assert len(grid) <= 40
