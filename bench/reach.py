@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Reach of the pipeline: which certificates the default budgets produce,
+and at what cost.
+
+    python bench/reach.py --repeats 3 --out BENCH_pipeline.json
+
+Cases: the 1-D step map at eps' = 0.51 and 0.55, and the extremal map in
+dims 1-10 at gaps eps' - eps/R_n of 0.05, 0.01, 0.002, 1e-4 and 1e-6, all
+at eps = 1.  Each case runs `run_pipeline` --repeats times and records its
+outcome: `ok` (a fresh f(z) is displaced by less than eps'), `wrong` (it
+is not), or the cause the pipeline declined with (`budget`,
+`no_convergence`, `certificate`, `domain`).  For each case the median
+wall time is kept, with the samples touched, the pivots and alpha of a
+certificate.
+Exits 1 if any case is `wrong`; any other exception propagates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from ballfix.errors import (  # noqa: E402
+    BudgetExceededError,
+    CertificateError,
+    DomainError,
+    NoConvergenceError,
+)
+from ballfix.geometry import jung_radius  # noqa: E402
+from ballfix.maps import ExtremalMap, StepMap1D  # noqa: E402
+from ballfix.pipeline import run_pipeline  # noqa: E402
+
+GAPS = (0.05, 0.01, 0.002, 1e-4, 1e-6)
+# DomainError: the default fp_tol leaves no alpha for the chain at this gap.
+DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergence"),
+            (CertificateError, "certificate"), (DomainError, "domain"))
+
+
+def cases():
+    """(name, map, dim, eps_prime) of every case, in report order."""
+    for eps_prime in (0.51, 0.55):
+        yield f"step-1d-{eps_prime}", StepMap1D(1.0), 1, eps_prime
+    for dim in range(1, 11):
+        for gap in GAPS:
+            yield f"extremal-{dim}d-gap-{gap:g}", ExtremalMap(dim=dim, eps=1.0), dim, \
+                1.0 / jung_radius(dim) + gap
+
+
+def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:
+    """One pipeline run: its record and its wall time."""
+    start = time.perf_counter()
+    try:
+        run = run_pipeline(f, dim, f.eps, eps_prime)
+    except tuple(error for error, _ in DECLINED) as exc:
+        seconds = time.perf_counter() - start
+        cause = next(name for error, name in DECLINED if isinstance(exc, error))
+        return {"outcome": cause}, seconds
+    seconds = time.perf_counter() - start
+    z = run.certificate.z
+    displacement = float(np.linalg.norm(np.asarray(f(z), dtype=float) - z))
+    return {
+        "outcome": "ok" if displacement < eps_prime else "wrong",
+        "displacement": displacement,
+        "grid_points": len(run.grid),
+        "pivots": run.fixed_point.pivots,
+        "alpha": run.params.alpha,
+    }, seconds
+
+
+def measure(repeats: int) -> list[dict]:
+    rows = []
+    for name, f, dim, eps_prime in cases():
+        records, times = zip(*(attempt(f, dim, eps_prime) for _ in range(repeats)))
+        # the path draws nothing, so every repeat must agree
+        if any(record != records[0] for record in records):
+            raise RuntimeError(f"{name}: repeats disagree: {records}")
+        rows.append({"case": name, "dim": dim, "eps_prime": eps_prime, **records[0],
+                     "wall_s": statistics.median(times)})
+        print(f"{name:28s} {records[0]['outcome']:15s} {statistics.median(times):.4f} s",
+              file=sys.stderr)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_pipeline.json"))
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    rows = measure(args.repeats)
+    report = {
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+        },
+        "repeats": args.repeats,
+        "cases": rows,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    wrong = [row["case"] for row in rows if row["outcome"] == "wrong"]
+    if wrong:
+        print(f"wrong certificates: {', '.join(wrong)}", file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

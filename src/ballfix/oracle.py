@@ -67,6 +67,8 @@ def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
     """Yield the ball lattice of the grid in slabs of constant first
     coordinate, deterministic order; one slab at a time keeps memory at a
     slab's size."""
+    if budget < 1:
+        raise DomainError(f"grid budget must be at least 1, got {budget}")
     if spec.total_points > budget:
         raise BudgetExceededError(
             f"grid of {spec.total_points} points exceeds the budget of {budget}",

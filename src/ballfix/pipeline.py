@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -134,6 +135,8 @@ class SampleGrid:
         dim = check_dim(dim)
         if alpha <= 0:
             raise DomainError(f"alpha must be positive, got {alpha}")
+        if max_points < 1:
+            raise DomainError(f"grid budget must be at least 1, got {max_points}")
         if max_points > np.iinfo(np.int64).max:
             raise DomainError(f"grid budget {max_points} overflows the int64 lattice indices")
         spacing = alpha / math.sqrt(dim) / 2.0
@@ -154,7 +157,8 @@ class SampleGrid:
         self.alpha = float(alpha)
         self.spacing = spacing
         self._half_count = half_count
-        self._slots: dict[bytes, int] = {}
+        self._slots: dict[tuple[int, ...], int] = {}
+        self._rows: list[list[float]] = []  # the value rows, by slot
         self._points = np.empty((0, dim))
         self._values = np.empty((0, dim))
 
@@ -175,23 +179,30 @@ class SampleGrid:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def touch(self, ks: np.ndarray) -> np.ndarray:
+    def touch(self, ks) -> np.ndarray:
         """Slots of the vertices with the given distinct integer rows; f is
         evaluated in one batch at the projections of the new ones."""
-        keys = [k.tobytes() for k in ks]
+        keys = [tuple(k) for k in np.asarray(ks).tolist()]
         slots = [self._slots.get(key, -1) for key in keys]
         new = [i for i, slot in enumerate(slots) if slot < 0]
         if new:
-            pts = ks[new] * self.spacing
+            pts = np.array([keys[i] for i in new], dtype=float) * self.spacing
             pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
             values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape)
             if not np.all(np.linalg.norm(values, axis=1) <= 1.0 + TOL_GEOM):  # NaN too
                 raise DomainError("some sample value lies outside the unit ball")
             for i, slot in zip(new, range(len(self), len(self) + len(new))):
                 slots[i] = self._slots[keys[i]] = slot
+            self._rows += values.tolist()
             self._points = np.concatenate([self._points, pts])
             self._values = np.concatenate([self._values, values])
         return np.array(slots)
+
+    def value(self, key: tuple[int, ...]) -> list[float]:
+        """The value row of the vertex with integer row `key`, touched if new."""
+        if key not in self._slots:
+            self.touch([key])
+        return self._rows[self._slots[key]]
 
     def materialize(self) -> SampleGrid:
         """Touch the ball lattice of the vertices, in its order; returns the grid."""
@@ -349,26 +360,26 @@ def find_fixed_point(F, grid: SampleGrid,
     rounding, by Merrill's restart algorithm (Merrill 1972; Todd 1976,
     LNEMS 124).
 
-    One path (see _merrill_path) per level of spacing 2^j s, from within a
-    factor sqrt(2) of 0.5/sqrt(n) down to the grid's spacing s, each
-    started next to the fixed point of the level before: a path's length
-    grows with the distance from its start to the fixed point in cells, so
-    every level takes a few pivots where one path at spacing s would cross
-    up to 1/s cells.  The coarse lattices are sublattices of the grid's,
-    so their samples are grid samples.  NoConvergenceError means only that
-    max_pivots, counted over all levels, ran out.  F is called for the
-    residual.
+    One path (see _merrill_path) per level, of spacing 2^L s (within a
+    factor sqrt(2) of 0.5/sqrt(n), s the grid's spacing), 2^(L-2) s,
+    2^(L-4) s, ... down to s, each started next to the fixed point of the
+    level before: a path's length grows with the distance from its start
+    to the fixed point in cells, so every level takes a few pivots where
+    one path at spacing s would cross up to 1/s cells.  The coarse
+    lattices are sublattices of the grid's, so their samples are grid
+    samples.  NoConvergenceError means only that max_pivots, counted over
+    all levels, ran out.  F is called for the residual.
     """
     n, s = grid.dim, grid.spacing
     # Distinct irrational fractional parts keep each start facet nondegenerate.
     offset = 1e-3 * ((np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0)
-    levels = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
+    top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
     y, pivots = np.zeros(n), 0
-    for step in 2 ** np.arange(levels, -1, -1):
+    for step in sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)}, reverse=True):
         c = y + step * s * offset
         # In the ball, so that every zero on the path is too.
         c /= max(1.0, float(np.linalg.norm(c)))
-        y, used, reached = _merrill_path(grid, int(step), c, max_pivots - pivots)
+        y, used, reached = _merrill_path(grid, step, c.tolist(), max_pivots - pivots)
         pivots += used
         if not reached:
             residual = float(np.linalg.norm(F(y) - y))
@@ -379,7 +390,7 @@ def find_fixed_point(F, grid: SampleGrid,
     return FixedPointResult(y, float(np.linalg.norm(F(y) - y)), pivots)
 
 
-def _merrill_path(grid: SampleGrid, step: int, c: np.ndarray,
+def _merrill_path(grid: SampleGrid, step: int, c: list[float],
                   max_pivots: int) -> tuple[np.ndarray, int, bool]:
     """Merrill's path on the Freudenthal triangulation of R^n x [0, 1] with
     spacing h = step * s in space and one step in time, from c.
@@ -396,24 +407,21 @@ def _merrill_path(grid: SampleGrid, step: int, c: np.ndarray,
     last zero (in space), the pivots used and whether it is at level 1.
     """
     n, h = grid.dim, step * grid.spacing
-    u = c / h
-    base = np.floor(u).astype(np.int64)
+    u = [x / h for x in c]
+    base = tuple(math.floor(x) for x in u)
     # The slab simplex over the Kuhn simplex of c: the space axes in
     # decreasing order of the fractional parts of u, then time (axis n).
-    perm = [int(i) for i in np.argsort(base - u, kind="stable")] + [n]
-    unit = np.eye(n + 1, dtype=np.int64)
-    verts = [np.append(base, 0)]
+    perm = sorted(range(n), key=lambda i: base[i] - u[i]) + [n]
+    unit = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+    verts = [base + (0,)]
     for axis in perm:
-        verts.append(verts[-1] + unit[axis])
+        verts.append(tuple(map(add, verts[-1], unit[axis])))
     # The path mostly ends over the start simplex: sample its vertices in one batch.
-    grid.touch(step * np.array([v[:n] for v in verts[:n + 1]]))
+    grid.touch([[step * x for x in v[:n]] for v in verts[:n + 1]])
 
-    def column(v: np.ndarray) -> list[float]:
-        top = c
-        if v[n]:
-            slot = grid.touch(step * v[None, :n])[0]  # before reading values, which it may grow
-            top = grid.values[slot]
-        return [1.0] + (top - h * v[:n]).tolist()
+    def column(v: tuple[int, ...]) -> list[float]:
+        top = grid.value(tuple(step * x for x in v[:n])) if v[n] else c
+        return [1.0] + [t - h * x for t, x in zip(top, v[:n])]
 
     # The basis: its [1; label] columns, their inverse (row r for column r),
     # and the space part and level of the vertex behind each column; row_of
@@ -440,7 +448,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: np.ndarray,
         pivot_row = [x / d[r] for x in inverse[r]]
         inverse = [[x - di * p for x, p in zip(row, pivot_row)] for row, di in zip(inverse, d)]
         inverse[r] = pivot_row
-        columns[r], space[r], level[r] = a, verts[enter][:n], int(verts[enter][n])
+        columns[r], space[r], level[r] = a, verts[enter][:n], verts[enter][n]
         if pivots % _REFACTOR_EVERY == 0:
             inverse = np.linalg.inv(np.array(columns).T).tolist()
         # The facet's zero is at time sum(weights at level 1): at time 1, up
@@ -453,18 +461,18 @@ def _merrill_path(grid: SampleGrid, step: int, c: np.ndarray,
         row_of[enter], row_of[leave] = r, -1
         # Replace the leaving vertex (Freudenthal pivot rules).
         if leave == 0:
-            verts = verts[1:] + [verts[n + 1] + unit[perm[0]]]
+            verts = verts[1:] + [tuple(map(add, verts[n + 1], unit[perm[0]]))]
             perm = perm[1:] + perm[:1]
             row_of = row_of[1:] + row_of[:1]
             enter = n + 1
         elif leave == n + 1:
-            verts = [verts[0] - unit[perm[-1]]] + verts[:n + 1]
+            verts = [tuple(map(sub, verts[0], unit[perm[-1]]))] + verts[:n + 1]
             perm = perm[-1:] + perm[:-1]
             row_of = row_of[-1:] + row_of[:-1]
             enter = 0
         else:
             perm[leave - 1], perm[leave] = perm[leave], perm[leave - 1]
-            verts[leave] = verts[leave - 1] + unit[perm[leave - 1]]
+            verts[leave] = tuple(map(add, verts[leave - 1], unit[perm[leave - 1]]))
             enter = leave
     return zero([row[0] for row in inverse]), max(max_pivots, 0), False
 

@@ -152,6 +152,22 @@ def test_pipeline_budget_exit_code():
                    "--budget", "1000") == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"),
+    ("pipeline", "--map", "extremal", "--n", "2", "--eps", "1", "--eps-prime", "0.62"),
+    ("extremal", "--n", "2", "--eps", "1", "--resolution", "21"),
+    ("verify", "--n", "2", "--resolution", "21", "--trials", "10"),
+])
+def test_budget_below_one_is_a_usage_error(argv, budget, capsys):
+    # was exit 4, or a traceback and exit 1 where a negative budget's root
+    # of order dim > 1 came out complex
+    assert run_cli(*argv, "--budget", budget) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"grid budget must be at least 1, got {budget}" in captured.err
+
+
 def test_pipeline_sampled_file_roundtrip(tmp_path):
     sampled = sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0)
     path = tmp_path / "step.json"

@@ -150,6 +150,17 @@ def test_lazy_grid_matches_kdtree_reference(dim, alpha):
     assert len(grid) == len(touched) == f.rows
 
 
+def test_memo_keys_do_not_depend_on_the_integer_dtype():
+    # numpy 1.x on Windows makes np.arange rows int32: the same vertex must
+    # still be sampled once, whatever the dtype of the row that touches it
+    f = CountingSmoothMap(2)
+    grid = build_sample_grid(f, 2, 0.6)
+    slot = grid.touch(np.array([[3, -1]], dtype=np.int32))
+    assert np.array_equal(grid.touch(np.array([[3, -1]], dtype=np.int64)), slot)
+    assert grid.value((3, -1)) == grid.values[slot[0]].tolist()
+    assert (f.calls, f.rows, len(grid)) == (1, 1, 1)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("points_per_axis", [2, 7, 10, 21])
 def test_ball_grid_slabs_match_reference(dim, points_per_axis):

@@ -31,6 +31,12 @@ def test_grid_budget_error():
         list(iter_ball_grid(spec))
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_grid_budget_below_one_is_a_domain_error(budget):
+    with pytest.raises(DomainError, match="grid budget must be at least 1"):
+        list(iter_ball_grid(GridSpec(dim=2, points_per_axis=3), budget))
+
+
 def test_ball_grid_clipping_and_boundary():
     spec = GridSpec(dim=2, points_per_axis=41)
     pts = ball_grid(spec)

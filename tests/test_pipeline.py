@@ -85,6 +85,9 @@ def test_build_sample_grid_budget_error():
     assert err.value.min_feasible_alpha > 1e-6
     with pytest.raises(DomainError):  # lattice keys are int64
         build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=2**63)
+    for budget in (0, -5):  # a negative budget once took a complex root here
+        with pytest.raises(DomainError, match="grid budget must be at least 1"):
+            build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=budget)
 
 
 # --- embedding -----------------------------------------------------------------

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.inputs import quantized_maps  # noqa: E402
+from perfbench.inputs import quantized_map, quantized_maps  # noqa: E402
 
 # The certify-coarse pool of the benchmark: its seed, then 480 1-D maps and
 # 240 2-D maps, drawn in that order.
@@ -61,6 +61,18 @@ def test_whole_coarse_pool_certifies():
     for dim, pool in coarse_pool().items():
         for f in pool:
             certify(f, dim)
+
+
+def test_restart_schedule_certifies_the_fine_contraction_in_few_pivots():
+    # certify-fine's quantized contraction over seeds 0-40, two of which
+    # stalled under the damped iteration: quartering the spacing per level
+    # takes at most 33 pivots here, halving it at most 39
+    for seed in range(41):
+        f = quantized_map(np.random.default_rng(seed), 2, 0.1, 0.5, 0.9)
+        eps_prime = f.eps / jung_radius(2) + 0.025
+        run = run_pipeline(f, 2, f.eps, eps_prime)
+        assert run.fixed_point.pivots <= 40, seed
+        assert float(np.linalg.norm(f(run.certificate.z) - run.certificate.z)) < eps_prime, seed
 
 
 @pytest.mark.parametrize("seed, count, dim, delta, index, margin", [
