@@ -10,8 +10,9 @@ at eps = 1.  Each case runs `run_pipeline` --repeats times and records its
 outcome: `ok` (a fresh f(z) is displaced by less than eps'), `wrong` (it
 is not), or the cause the pipeline declined with (`budget`,
 `no_convergence`, `certificate`, `domain`).  For each case the median
-wall time is kept, with the samples touched, the pivots and alpha of a
-certificate.
+wall time is kept, with the points at which f was evaluated (`f_evals`:
+batch rows plus single calls, the pipeline's own recheck of f(z)
+included) and the samples touched, the pivots and alpha of a certificate.
 Exits 1 if any case is `wrong`; any other exception propagates.
 """
 
@@ -48,6 +49,23 @@ DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergenc
             (CertificateError, "certificate"), (DomainError, "domain"))
 
 
+class CountingMap:
+    """Forwards `eps`, `dim`, `batch` and `__call__` of a map, counting the
+    points evaluated: batch rows plus single calls."""
+
+    def __init__(self, f):
+        self.f, self.eps, self.dim, self.evals = f, f.eps, f.dim, 0
+
+    def batch(self, xs):
+        values = self.f.batch(xs)
+        self.evals += len(values)
+        return values
+
+    def __call__(self, x):
+        self.evals += 1
+        return self.f(x)
+
+
 def cases():
     """(name, map, dim, eps_prime) of every case, in report order."""
     for eps_prime in (0.51, 0.55):
@@ -60,19 +78,21 @@ def cases():
 
 def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:
     """One pipeline run: its record and its wall time."""
+    counted = CountingMap(f)
     start = time.perf_counter()
     try:
-        run = run_pipeline(f, dim, f.eps, eps_prime)
+        run = run_pipeline(counted, dim, f.eps, eps_prime)
     except tuple(error for error, _ in DECLINED) as exc:
         seconds = time.perf_counter() - start
         cause = next(name for error, name in DECLINED if isinstance(exc, error))
-        return {"outcome": cause}, seconds
+        return {"outcome": cause, "f_evals": counted.evals}, seconds
     seconds = time.perf_counter() - start
     z = run.certificate.z
     displacement = float(np.linalg.norm(np.asarray(f(z), dtype=float) - z))
     return {
         "outcome": "ok" if displacement < eps_prime else "wrong",
         "displacement": displacement,
+        "f_evals": counted.evals,
         "grid_points": len(run.grid),
         "pivots": run.fixed_point.pivots,
         "alpha": run.params.alpha,

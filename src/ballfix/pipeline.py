@@ -158,44 +158,53 @@ class SampleGrid:
         self.spacing = spacing
         self._half_count = half_count
         self._slots: dict[tuple[int, ...], int] = {}
+        self._point_rows: list[list[float]] = []  # by slot
         self._rows: list[list[float]] = []  # the value rows, by slot
-        self._points = np.empty((0, dim))
-        self._values = np.empty((0, dim))
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None  # until the next touch
+
+    def _as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            self._arrays = tuple(np.array(rows, dtype=float).reshape(-1, self.dim)
+                                 for rows in (self._point_rows, self._rows))
+        return self._arrays
 
     @property
     def points(self) -> np.ndarray:
-        return self._points
+        return self._as_arrays()[0]
 
     @property
     def values(self) -> np.ndarray:
-        return self._values
+        return self._as_arrays()[1]
 
     @property
     def sampled(self) -> SampledMap:
         """The touched samples as a SampledMap with covering radius alpha/2."""
-        return SampledMap(self._points, self._values, covering_radius=self.alpha / 2.0,
+        return SampledMap(self.points, self.values, covering_radius=self.alpha / 2.0,
                           eps=getattr(self.f, "eps", None))
 
     def __len__(self) -> int:
-        return self._points.shape[0]
+        return len(self._rows)
 
     def touch(self, ks) -> np.ndarray:
-        """Slots of the vertices with the given distinct integer rows; f is
-        evaluated in one batch at the projections of the new ones."""
-        keys = [tuple(k) for k in np.asarray(ks).tolist()]
+        """Slots of the vertices with the given distinct integer rows (tuples,
+        lists or an integer array); f is evaluated in one batch at the
+        projections of the new ones."""
+        keys = [tuple(k) for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks)]
         slots = [self._slots.get(key, -1) for key in keys]
         new = [i for i, slot in enumerate(slots) if slot < 0]
         if new:
-            pts = np.array([keys[i] for i in new], dtype=float) * self.spacing
-            pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
-            values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape)
-            if not np.all(np.linalg.norm(values, axis=1) <= 1.0 + TOL_GEOM):  # NaN too
+            rows = [[k * self.spacing for k in keys[i]] for i in new]
+            pts = np.array(rows)
+            if any(math.hypot(*row) > 1.0 - 1e-9 for row in rows):  # numpy's norm, for its bits
+                pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
+            values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape).tolist()
+            if not all(math.hypot(*row) <= 1.0 + TOL_GEOM for row in values):  # NaN too
                 raise DomainError("some sample value lies outside the unit ball")
             for i, slot in zip(new, range(len(self), len(self) + len(new))):
                 slots[i] = self._slots[keys[i]] = slot
-            self._rows += values.tolist()
-            self._points = np.concatenate([self._points, pts])
-            self._values = np.concatenate([self._values, values])
+            self._point_rows += pts.tolist()
+            self._rows += values
+            self._arrays = None
         return np.array(slots)
 
     def value(self, key: tuple[int, ...]) -> list[float]:
@@ -295,23 +304,26 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     1 - f_(1), f_(1) - f_(2), ..., f_(n).  Vertices of weight 0 are dropped,
     so the embedding is continuous in y.
     """
-    y = as_vector(y)
-    if y.shape[0] != grid.dim:
-        raise InvalidDimensionError(f"point of dimension {y.shape[0]} for a {grid.dim}-D grid")
-    if float(np.linalg.norm(y)) > 1.0 + TOL_GEOM:
+    y = as_vector(y).tolist()
+    if len(y) != grid.dim:
+        raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
+    if math.hypot(*y) > 1.0 + TOL_GEOM:
         raise DomainError("embedding is defined on the unit ball only")
-    u = y / grid.spacing
-    base = np.floor(u)
-    frac = u - base
-    order = np.argsort(-frac, kind="stable")
-    rank = np.empty(grid.dim, dtype=np.int64)
-    rank[order] = np.arange(grid.dim)
-    steps = np.arange(grid.dim + 1)[:, None] > rank[None, :]
-    descending = frac[order]
-    weights = np.concatenate([[1.0], descending]) - np.concatenate([descending, [0.0]])
-    kept = np.flatnonzero(weights > 0.0)
-    support = grid.touch(base.astype(np.int64) + steps[kept])
-    return EmbeddedPoint(support=support, points=grid.points[support], weights=weights[kept])
+    u = [x / grid.spacing for x in y]
+    vertex = [math.floor(x) for x in u]
+    frac = [x - k for x, k in zip(u, vertex)]
+    order = sorted(range(grid.dim), key=lambda i: -frac[i])
+    descending = [1.0] + [frac[i] for i in order] + [0.0]
+    keys, weights = [], []
+    for j, axis in enumerate(order + [None]):
+        if descending[j] > descending[j + 1]:
+            keys.append(tuple(vertex))
+            weights.append(descending[j] - descending[j + 1])
+        if axis is not None:
+            vertex[axis] += 1
+    support = grid.touch(keys)
+    return EmbeddedPoint(support=support, points=grid.points[support],
+                         weights=np.array(weights))
 
 
 def simplicial_image_check(grid: SampleGrid, bound: float,
@@ -372,26 +384,31 @@ def find_fixed_point(F, grid: SampleGrid,
     """
     n, s = grid.dim, grid.spacing
     # Distinct irrational fractional parts keep each start facet nondegenerate.
-    offset = 1e-3 * ((np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0)
+    offset = [1e-3 * ((i * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0) for i in range(1, n + 1)]
     top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
-    y, pivots = np.zeros(n), 0
+    y, pivots = [0.0] * n, 0
     for step in sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)}, reverse=True):
-        c = y + step * s * offset
-        # In the ball, so that every zero on the path is too.
-        c /= max(1.0, float(np.linalg.norm(c)))
-        y, used, reached = _merrill_path(grid, step, c.tolist(), max_pivots - pivots)
+        c = [x + step * s * o for x, o in zip(y, offset)]
+        # In the ball, so that every zero on the path is too (scaled by
+        # numpy's norm, for the bits, in the rare case that it leaves).
+        if math.hypot(*c) > 1.0 - 1e-9:
+            c = (np.array(c) / max(1.0, float(np.linalg.norm(c)))).tolist()
+        y, used, reached = _merrill_path(grid, step, c, max_pivots - pivots)
         pivots += used
         if not reached:
-            residual = float(np.linalg.norm(F(y) - y))
-            raise NoConvergenceError(
-                f"fixed-point path exhausted {max_pivots} pivots; residual {residual:.3g} "
-                "at its last point",
-                best_point=y, best_residual=residual)
-    return FixedPointResult(y, float(np.linalg.norm(F(y) - y)), pivots)
+            break
+    y = np.array(y)
+    residual = float(np.linalg.norm(F(y) - y))
+    if not reached:
+        raise NoConvergenceError(
+            f"fixed-point path exhausted {max_pivots} pivots; residual {residual:.3g} "
+            "at its last point",
+            best_point=y, best_residual=residual)
+    return FixedPointResult(y, residual, pivots)
 
 
 def _merrill_path(grid: SampleGrid, step: int, c: list[float],
-                  max_pivots: int) -> tuple[np.ndarray, int, bool]:
+                  max_pivots: int) -> tuple[list[float], int, bool]:
     """Merrill's path on the Freudenthal triangulation of R^n x [0, 1] with
     spacing h = step * s in space and one step in time, from c.
 
@@ -417,7 +434,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     for axis in perm:
         verts.append(tuple(map(add, verts[-1], unit[axis])))
     # The path mostly ends over the start simplex: sample its vertices in one batch.
-    grid.touch([[step * x for x in v[:n]] for v in verts[:n + 1]])
+    grid.touch([tuple(step * x for x in v[:n]) for v in verts[:n + 1]])
 
     def column(v: tuple[int, ...]) -> list[float]:
         top = grid.value(tuple(step * x for x in v[:n])) if v[n] else c
@@ -434,8 +451,8 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     row_of = list(range(n + 1)) + [-1]
     enter = n + 1
 
-    def zero(weights: list[float]) -> np.ndarray:
-        return h * (np.array(weights) @ np.array(space)) / sum(weights)
+    def zero(weights: list[float]) -> list[float]:
+        return (h * (np.array(weights) @ np.array(space)) / sum(weights)).tolist()
 
     for pivots in range(1, max_pivots + 1):
         a = column(verts[enter])

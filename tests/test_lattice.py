@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from ballfix.errors import DomainError
 from ballfix.geometry import random_ball_points
 from ballfix.maps import ConstantMap, ExtremalMap, neighborhood_diameter, sample_map_on_grid
 from ballfix.oracle import GridSpec, ball_grid, iter_ball_grid
@@ -148,6 +149,79 @@ def test_lazy_grid_matches_kdtree_reference(dim, alpha):
         averaged_map_eval(y.copy(), grid)
         assert f.calls == calls
     assert len(grid) == len(touched) == f.rows
+
+
+def reference_embed(y, grid):
+    """The numpy form of `embed`: the slots of the Kuhn simplex holding y
+    with positive weight, in order, and those weights."""
+    u = np.asarray(y, dtype=float) / grid.spacing
+    base = np.floor(u)
+    frac = u - base
+    order = np.argsort(-frac, kind="stable")
+    rank = np.empty(grid.dim, dtype=np.int64)
+    rank[order] = np.arange(grid.dim)
+    steps = np.arange(grid.dim + 1)[:, None] > rank[None, :]
+    descending = frac[order]
+    weights = np.concatenate([[1.0], descending]) - np.concatenate([descending, [0.0]])
+    kept = np.flatnonzero(weights > 0.0)
+    return grid.touch(base.astype(np.int64) + steps[kept]), weights[kept]
+
+
+def embed_probes(rng, dim, spacing, count):
+    """Random ball points; points on Kuhn faces, with tied fractional parts
+    (repeated coordinates) and with coordinates on lattice hyperplanes; and
+    lattice vertices."""
+    uniform = random_ball_points(rng, dim, count)
+    faces = 0.8 / math.sqrt(dim) * random_ball_points(rng, dim, count)  # in the ball when tied
+    for y in faces:
+        tied = rng.choice(dim, size=rng.integers(1, dim + 1), replace=False)
+        y[tied] = y[tied[0]]
+        flat = rng.choice(dim, size=rng.integers(0, dim), replace=False)
+        y[flat] = spacing * np.round(y[flat] / spacing)
+    half = int(0.9 / spacing / math.sqrt(dim))
+    vertices = spacing * rng.integers(-half, half + 1, size=(count, dim)).astype(float)
+    return np.concatenate([uniform, faces, vertices])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_embed_matches_the_numpy_reference(dim):
+    grid = build_sample_grid(CountingSmoothMap(dim), dim, 0.4, max_points=10**12)
+    sizes = set()
+    for y in embed_probes(np.random.default_rng(100 + dim), dim, grid.spacing, 40):
+        support, weights = reference_embed(y, grid)
+        emb = embed(y, grid)
+        assert emb.support.tolist() == support.tolist()
+        assert emb.weights.tobytes() == weights.tobytes()
+        assert np.array_equal(emb.points, grid.points[support])
+        sizes.add(emb.support.size)
+    # the faces and vertices give supports below the full dim + 1 vertices
+    assert 1 in sizes and dim + 1 in sizes
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_a_batch_with_a_bad_value_leaves_the_grid_unchanged(bad):
+    class Poisoned(CountingSmoothMap):
+        """Gives `bad` in every coordinate at points with x_0 > 0."""
+
+        def batch(self, xs):
+            values = super().batch(xs)
+            values[xs[:, 0] > 0.0] = bad
+            return values
+
+    f = Poisoned(2)
+    grid = build_sample_grid(f, 2, 0.6)
+    grid.touch([(-1, 0), (-2, 1)])
+    points, values = grid.points.copy(), grid.values.copy()
+    with pytest.raises(DomainError):
+        grid.touch([(-1, 0), (-3, 0), (1, 0)])
+    assert len(grid) == 2
+    assert np.array_equal(grid.points, points) and np.array_equal(grid.values, values)
+    # neither new key of the failed batch was kept: each is evaluated again
+    calls = f.calls
+    with pytest.raises(DomainError):
+        grid.touch([(1, 0)])
+    assert grid.touch([(-3, 0)]).tolist() == [2]
+    assert (f.calls, len(grid)) == (calls + 2, 3)
 
 
 def test_memo_keys_do_not_depend_on_the_integer_dtype():

@@ -3,6 +3,7 @@ points of the averaged map on the maps the damped iteration it replaced
 stalled on, on degenerate maps, far from the start, and under a pivot
 budget."""
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -39,6 +40,45 @@ def coarse_pool():
     rng = np.random.default_rng(POOL_SEED)
     return {1: quantized_maps(rng, 480, 1, 0.2, 2.0, 4.0),
             2: quantized_maps(rng, 240, 2, 0.3, 2.0, 4.0)}
+
+
+# Certificates recorded as hex floats by the numpy form of the grid, embed
+# and the level starts; the list form must reproduce them bit for bit.
+# `PYTHONPATH=src python tests/test_solver.py` rewrites them, for an output
+# change recorded in docs/schemas.md only.
+CERTIFICATES = Path(__file__).with_name("certificates.json")
+
+
+def recorded_cases():
+    """(name, map, dim, eps') of each recorded certificate: the five cases
+    certify-fine certifies (its contraction drawn from seed 0), then every
+    40th 1-D and every 20th 2-D map of the coarse pool, at eps' = 1.6 eps/R_n."""
+    contraction = quantized_map(np.random.default_rng(0), 2, 0.1, 0.5, 0.9)
+    for dim, eps_prime in ((2, 0.60), (2, 0.62), (3, 0.75), (3, 0.80)):
+        yield f"extremal-{dim}d-{eps_prime:.2f}", ExtremalMap(dim=dim, eps=1.0), dim, eps_prime
+    yield "quantized-2d-contraction", contraction, 2, contraction.eps / jung_radius(2) + 0.025
+    for dim, pool in coarse_pool().items():
+        for k in range(0, len(pool), len(pool) // 12):
+            yield f"quantized-{dim}d-{k:03d}", pool[k], dim, 1.6 * pool[k].eps / jung_radius(dim)
+
+
+def certificate_record(f, dim, eps_prime):
+    run = run_pipeline(f, dim, f.eps, eps_prime)
+    cert = run.certificate
+    return {"z": [x.hex() for x in cert.z.tolist()],
+            "y": [x.hex() for x in cert.trace.y.tolist()],
+            "residual": cert.trace.residual.hex(),
+            "support_index": cert.trace.support_index,
+            "pivots": run.fixed_point.pivots,
+            "grid_points": len(run.grid)}
+
+
+def test_certificates_match_the_recorded_bits():
+    recorded = json.loads(CERTIFICATES.read_text())
+    cases = list(recorded_cases())
+    assert [name for name, *_ in cases] == list(recorded)
+    for name, f, dim, eps_prime in cases:
+        assert certificate_record(f, dim, eps_prime) == recorded[name], name
 
 
 def certify(f, dim):
@@ -162,3 +202,9 @@ def test_restarts_keep_a_far_fixed_point_cheap():
     np.testing.assert_allclose(result.y, c, atol=1e-12)
     assert result.pivots <= 60
     assert len(grid) <= 40
+
+
+if __name__ == "__main__":
+    CERTIFICATES.write_text(json.dumps(
+        {name: certificate_record(f, dim, eps_prime)
+         for name, f, dim, eps_prime in recorded_cases()}, indent=1) + "\n")
