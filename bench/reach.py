@@ -6,9 +6,12 @@ and at what cost.
 
 Cases: the 1-D step map at eps' = 0.51 and 0.55, and the extremal map in
 dims 1-10 at gaps eps' - eps/R_n of 0.05, 0.01, 0.002, 1e-4 and 1e-6, all
-at eps = 1.  Each case runs `run_pipeline` --repeats times and records its
-outcome: `ok` (a fresh f(z) is displaced by less than eps'), `wrong` (it
-is not), or the cause the pipeline declined with (`budget`,
+at eps = 1; then the 2-D quantized contraction of the certify-fine
+benchmark workload (perfbench.inputs.quantized_map on seed 0, delta 0.1,
+gains 0.5-0.9) at the same five gaps, whose coarse levels are flat.  Each
+case runs `run_pipeline` --repeats times and records its outcome: `ok` (a
+fresh f(z) is displaced by less than eps'), `wrong` (it is not), or the
+cause the pipeline declined with (`budget`,
 `no_convergence`, `certificate`, `domain`).  For each case the median
 wall time is kept, with the points at which f was evaluated (`f_evals`:
 batch rows plus single calls, the pipeline's own recheck of f(z)
@@ -32,6 +35,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from ballfix.errors import (  # noqa: E402
     BudgetExceededError,
@@ -42,9 +46,10 @@ from ballfix.errors import (  # noqa: E402
 from ballfix.geometry import jung_radius  # noqa: E402
 from ballfix.maps import ExtremalMap, StepMap1D  # noqa: E402
 from ballfix.pipeline import run_pipeline  # noqa: E402
+from perfbench.inputs import quantized_map  # noqa: E402
 
 GAPS = (0.05, 0.01, 0.002, 1e-4, 1e-6)
-# DomainError: the default fp_tol leaves no alpha for the chain at this gap.
+# DomainError: the map or the bound is outside what the pipeline accepts.
 DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergence"),
             (CertificateError, "certificate"), (DomainError, "domain"))
 
@@ -74,6 +79,9 @@ def cases():
         for gap in GAPS:
             yield f"extremal-{dim}d-gap-{gap:g}", ExtremalMap(dim=dim, eps=1.0), dim, \
                 1.0 / jung_radius(dim) + gap
+    contraction = quantized_map(np.random.default_rng(0), 2, 0.1, 0.5, 0.9)
+    for gap in GAPS:
+        yield f"contraction-2d-gap-{gap:g}", contraction, 2, contraction.eps / jung_radius(2) + gap
 
 
 def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:

@@ -361,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", dest="eps_prime", type=float, required=True)
     p.add_argument("--value", default=None,
                    help="comma-separated constant-map value")
-    p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-6)
+    p.add_argument("--fp-tol", dest="fp_tol", type=float, default=None,
+                   help="fixed-point residual bound (default min(1e-6, gamma/(2 R_n)))")
     common(p, budget=pipeline.DEFAULT_GRID_BUDGET)
     p.set_defaults(func=cmd_pipeline)
 

@@ -32,6 +32,7 @@ __all__ = [
     "as_vector",
     "ball_lattice",
     "check_dim",
+    "check_weights",
     "cube_lattice",
     "diameter",
     "eval_combination",
@@ -281,11 +282,7 @@ class ConvexCombination:
         if w.shape[0] != pts.shape[0]:
             raise InvalidCombinationError(
                 f"{pts.shape[0]} points but {w.shape[0]} weights")
-        if not np.all(w > 0):
-            raise InvalidCombinationError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > TOL_WEIGHTS:
-            raise InvalidCombinationError(
-                f"weights sum to {w.sum()!r}, expected 1 within {TOL_WEIGHTS}")
+        check_weights(w.tolist())
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -295,6 +292,16 @@ class ConvexCombination:
 
     def support_diameter(self) -> float:
         return pairwise_diameter(self.points)
+
+
+def check_weights(weights: list[float]) -> None:
+    """Strictly positive weights summing to one within TOL_WEIGHTS, or InvalidCombinationError."""
+    if not all(w > 0 for w in weights):
+        raise InvalidCombinationError("weights must be strictly positive")
+    total = sum(weights)
+    if abs(total - 1.0) > TOL_WEIGHTS:
+        raise InvalidCombinationError(
+            f"weights sum to {total!r}, expected 1 within {TOL_WEIGHTS}")
 
 
 def eval_combination(c: ConvexCombination) -> np.ndarray:

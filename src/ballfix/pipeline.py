@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,7 +38,7 @@ from .geometry import (
     ball_lattice,
     check_dim,
     cube_lattice,
-    jung_nearest,
+    check_weights,
     jung_radius,
 )
 from .maps import SampledMap
@@ -161,6 +161,7 @@ class SampleGrid:
         self._point_rows: list[list[float]] = []  # by slot
         self._rows: list[list[float]] = []  # the value rows, by slot
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None  # until the next touch
+        self._embedded: tuple[tuple[float, ...] | None, EmbeddedPoint | None] = (None, None)
 
     def _as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
@@ -302,9 +303,12 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     The simplex holding u = y/s has base floor(u) and steps along the axes
     in decreasing order of the fractional parts f; its weights are
     1 - f_(1), f_(1) - f_(2), ..., f_(n).  Vertices of weight 0 are dropped,
-    so the embedding is continuous in y.
+    so the embedding is continuous in y.  The grid keeps the last
+    embedding, which the certificate reuses for the fixed point.
     """
-    y = as_vector(y).tolist()
+    y = tuple(as_vector(y).tolist())
+    if y == grid._embedded[0]:
+        return grid._embedded[1]
     if len(y) != grid.dim:
         raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
     if math.hypot(*y) > 1.0 + TOL_GEOM:
@@ -322,8 +326,10 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
         if axis is not None:
             vertex[axis] += 1
     support = grid.touch(keys)
-    return EmbeddedPoint(support=support, points=grid.points[support],
-                         weights=np.array(weights))
+    points = np.array([grid._point_rows[k] for k in support.tolist()])
+    emb = EmbeddedPoint(support=support, points=points, weights=np.array(weights))
+    grid._embedded = (y, emb)
+    return emb
 
 
 def simplicial_image_check(grid: SampleGrid, bound: float,
@@ -359,7 +365,7 @@ def averaged_map_eval(y, grid: SampleGrid) -> np.ndarray:
     values of the simplex holding y.  A convex combination of ball points,
     hence in the ball; continuous and piecewise linear."""
     emb = embed(y, grid)
-    return emb.weights @ grid.values[emb.support]
+    return emb.weights @ np.array([grid._rows[k] for k in emb.support.tolist()])
 
 
 # Refactorize the basis inverse after this many rank-1 updates.
@@ -377,26 +383,32 @@ def find_fixed_point(F, grid: SampleGrid,
     2^(L-4) s, ... down to s, each started next to the fixed point of the
     level before: a path's length grows with the distance from its start
     to the fixed point in cells, so every level takes a few pivots where
-    one path at spacing s would cross up to 1/s cells.  The coarse
-    lattices are sublattices of the grid's, so their samples are grid
-    samples.  NoConvergenceError means only that max_pivots, counted over
-    all levels, ran out.  F is called for the residual.
+    one path at spacing s would cross up to 1/s cells.  After a flat level
+    (its fixed point is the one value v of its weighted level-1 vertices,
+    hence v at every spacing) the next level, unless last, is dropped.
+    The coarse lattices are sublattices of the grid's, so their samples
+    are grid samples.  NoConvergenceError means only that max_pivots,
+    counted over all levels, ran out.  F is called for the residual.
     """
     n, s = grid.dim, grid.spacing
     # Distinct irrational fractional parts keep each start facet nondegenerate.
     offset = [1e-3 * ((i * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0) for i in range(1, n + 1)]
     top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
+    pending = sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
     y, pivots = [0.0] * n, 0
-    for step in sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)}, reverse=True):
+    while pending:
+        step = pending.pop()
         c = [x + step * s * o for x, o in zip(y, offset)]
         # In the ball, so that every zero on the path is too (scaled by
         # numpy's norm, for the bits, in the rare case that it leaves).
         if math.hypot(*c) > 1.0 - 1e-9:
             c = (np.array(c) / max(1.0, float(np.linalg.norm(c)))).tolist()
-        y, used, reached = _merrill_path(grid, step, c, max_pivots - pivots)
+        y, used, reached, flat = _merrill_path(grid, step, c, max_pivots - pivots)
         pivots += used
         if not reached:
             break
+        if flat and len(pending) > 1:
+            pending.pop()
     y = np.array(y)
     residual = float(np.linalg.norm(F(y) - y))
     if not reached:
@@ -407,8 +419,21 @@ def find_fixed_point(F, grid: SampleGrid,
     return FixedPointResult(y, residual, pivots)
 
 
+def _start_inverse(frac: list[float], axes: list[int], h: float) -> list[list[float]]:
+    """The inverse of the basis [1; c - h x_k] of the Kuhn simplex of c
+    (x_k = x_(k-1) + e_(axes[k-1]), `frac` the decreasing fractional parts
+    of c/h along `axes`): the barycentric map, whose first column holds
+    the differences of 1, frac and 0, and whose other entries are 0, +-1/h."""
+    n = len(axes)
+    descending = [1.0] + frac + [0.0]
+    inverse = [[descending[k] - descending[k + 1]] + [0.0] * n for k in range(n + 1)]
+    for k, axis in enumerate(axes):
+        inverse[k][1 + axis], inverse[k + 1][1 + axis] = 1.0 / h, -1.0 / h
+    return inverse
+
+
 def _merrill_path(grid: SampleGrid, step: int, c: list[float],
-                  max_pivots: int) -> tuple[list[float], int, bool]:
+                  max_pivots: int) -> tuple[list[float], int, bool, bool]:
     """Merrill's path on the Freudenthal triangulation of R^n x [0, 1] with
     spacing h = step * s in space and one step in time, from c.
 
@@ -421,7 +446,8 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     level 1, where it is a fixed point of the level's averaged map.  Every
     zero on the path is a convex combination of c and ball points, so the
     path stays bounded and ends after finitely many pivots.  Returns the
-    last zero (in space), the pivots used and whether it is at level 1.
+    last zero (in space), the pivots used, whether it is at level 1, and
+    whether it is flat there: its weighted level-1 vertices share a value.
     """
     n, h = grid.dim, step * grid.spacing
     u = [x / h for x in c]
@@ -445,23 +471,27 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     # maps simplex positions to columns (-1 for the vertex about to enter).
     # Small dense algebra in plain Python: cheaper than numpy calls here.
     columns = [column(v) for v in verts[:n + 1]]
-    inverse = np.linalg.inv(np.array(columns).T).tolist()
+    inverse = _start_inverse([u[i] - base[i] for i in perm[:n]], perm[:n], h)
     space = [v[:n] for v in verts[:n + 1]]
     level = [0] * (n + 1)
     row_of = list(range(n + 1)) + [-1]
     enter = n + 1
 
     def zero(weights: list[float]) -> list[float]:
-        return (h * (np.array(weights) @ np.array(space)) / sum(weights)).tolist()
+        total = sum(weights)
+        return [h * sum(w * x[i] for w, x in zip(weights, space)) / total for i in range(n)]
 
     for pivots in range(1, max_pivots + 1):
         a = column(verts[enter])
-        d = [sum(x * y for x, y in zip(row, a)) for row in inverse]
+        d = [sum(map(mul, row, a)) for row in inverse]
         tol = 1e-12 * max(map(abs, d))
         # Lexicographic ratio test, exact in floats: the lexicographically
-        # smallest row of the inverse over its entry of d.
-        r = min((i for i in range(n + 1) if d[i] > tol),
-                key=lambda i: [x / d[i] for x in inverse[i]])
+        # smallest row of the inverse over its entry of d, its first entry
+        # deciding unless tied.
+        ratios = {i: inverse[i][0] / d[i] for i in range(n + 1) if d[i] > tol}
+        least = min(ratios.values())
+        tied = [i for i, q in ratios.items() if q == least]
+        r = min(tied, key=lambda i: [x / d[i] for x in inverse[i]]) if tied[1:] else tied[0]
         pivot_row = [x / d[r] for x in inverse[r]]
         inverse = [[x - di * p for x, p in zip(row, pivot_row)] for row, di in zip(inverse, d)]
         inverse[r] = pivot_row
@@ -473,7 +503,9 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
         # lattice faces) get there before the whole facet reaches level 1.
         at_top = [row[0] * k for row, k in zip(inverse, level)]
         if sum(at_top) >= 1.0 - 1e-12:
-            return zero(at_top), pivots, True
+            tops = [grid.value(tuple(step * x for x in space[r]))
+                    for r in range(n + 1) if at_top[r] > 0]
+            return zero(at_top), pivots, True, all(value == tops[0] for value in tops)
         leave = row_of.index(r)
         row_of[enter], row_of[leave] = r, -1
         # Replace the leaving vertex (Freudenthal pivot rules).
@@ -491,7 +523,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
             perm[leave - 1], perm[leave] = perm[leave], perm[leave - 1]
             verts[leave] = tuple(map(add, verts[leave - 1], unit[perm[leave - 1]]))
             enter = leave
-    return zero([row[0] for row in inverse]), max(max_pivots, 0), False
+    return zero([row[0] for row in inverse]), max(max_pivots, 0), False, False
 
 
 def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
@@ -508,24 +540,27 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
         raise DomainError(
             f"residual {fp.residual} exceeds fp_tol={params.fp_tol}; not a usable fixed point")
     emb = embed(fp.y, grid)
-    j, jung_term = jung_nearest(
-        ConvexCombination(points=grid.values[emb.support], weights=emb.weights))
+    weights, support = emb.weights.tolist(), emb.support.tolist()
+    check_weights(weights)
+    rows = [grid._rows[k] for k in support]
+    image = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(grid.dim)]
+    distances = [math.dist(row, image) for row in rows]
+    jung_term = min(distances)
     if jung_term > params.jung_term_bound + TOL_GEOM:
         raise CertificateError(
             f"nearest support image at {jung_term}, above the Jung bound "
             f"{params.jung_term_bound}; alpha is too coarse for this map")
-    i = int(emb.support[j])
-    z = grid.points[i]
-    fz = grid.values[i]
-    anchor_term = float(np.linalg.norm(z - fp.y))
-    displacement = float(np.linalg.norm(fz - z))
+    i = support[distances.index(jung_term)]
+    z, fz = grid._point_rows[i], grid._rows[i]
+    anchor_term = math.dist(z, fp.y.tolist())
+    displacement = math.dist(fz, z)
     if displacement > params.certificate_bound + TOL_GEOM:
         raise CertificateError(
             f"certified displacement {displacement} exceeds the chain bound "
             f"{params.certificate_bound}")
     return EpsFixedPointCertificate(
-        z=z,
-        fz=fz,
+        z=np.array(z),
+        fz=np.array(fz),
         displacement=displacement,
         bound=params.eps_prime,
         trace=CertificateTrace(y=fp.y, residual=fp.residual, support_index=i),
@@ -547,22 +582,24 @@ class PipelineRun:
 
 
 def run_pipeline(f, dim: int, eps: float, eps_prime: float,
-                 fp_tol: float = 1e-6,
+                 fp_tol: float | None = None,
                  grid_budget: int = DEFAULT_GRID_BUDGET) -> PipelineRun:
     """End-to-end certificate search for a map of discontinuity scale eps.
 
     Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
-    maps admit no certificate).  Picks gamma as half the available slack
-    and alpha from eps so that the certificate chain arithmetic closes,
-    then finds a fixed point of the averaged map on the lazy grid.
-    extract_certificate checks the Jung term on the support at that fixed
-    point; while it fails alpha is halved, until the grid budget stops a
-    map that is not eps-continuous.  The returned certificate's
-    displacement is re-evaluated directly on f, not trusted from grid
-    internals.
+    maps admit no certificate).  Picks gamma as half the available slack,
+    fp_tol (unless given) as min(1e-6, gamma/(2R)) and alpha from eps so
+    that the certificate chain arithmetic closes, then finds a fixed point
+    of the averaged map on the lazy grid.  extract_certificate checks the
+    Jung term on the support at that fixed point; while it fails alpha is
+    halved, until the grid budget stops a map that is not eps-continuous.
+    The returned certificate's displacement is re-evaluated directly on f,
+    not trusted from grid internals.
     """
     radius = _check_hypothesis(dim, eps, eps_prime)
     gamma = (radius * eps_prime - eps) / 2.0
+    if fp_tol is None:
+        fp_tol = min(1e-6, gamma / (2.0 * radius))
     arithmetic_room = gamma / radius - fp_tol  # required: alpha/2 < this
     if arithmetic_room <= 0:
         raise DomainError(
@@ -581,7 +618,6 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
         except CertificateError:
             alpha /= 2.0  # not yet "sufficiently small"
             continue
-        recheck = float(np.linalg.norm(
-            as_vector(f(certificate.z)) - certificate.z))
+        recheck = math.dist(as_vector(f(certificate.z)).tolist(), certificate.z.tolist())
         return PipelineRun(params=params, grid=grid, fixed_point=fixed_point,
                            certificate=certificate, displacement_recheck=recheck)

@@ -152,6 +152,22 @@ def test_pipeline_budget_exit_code():
                    "--budget", "1000") == EXIT_BUDGET
 
 
+def test_a_gap_of_1e_6_is_a_budget_question_not_a_usage_error(capsys):
+    # a fixed fp_tol of 1e-6 left no alpha at this gap, and the run exited 2;
+    # the default now shrinks with the gap, so only the grid budget decides
+    argv = ("pipeline", "--map", "extremal", "--n", "1", "--eps", "1",
+            "--eps-prime", repr(0.5 + 1e-6), "--out", "-")
+    assert run_cli(*argv) == EXIT_BUDGET
+    assert run_cli(*argv, "--fp-tol", "1e-6") == EXIT_USAGE
+    capsys.readouterr()
+    assert run_cli(*argv, "--budget", str(10**13)) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["fp_tol"] < 1e-6
+    assert report["certificate"]["residual"] <= report["params"]["fp_tol"]
+    assert report["displacement_recheck"] < 0.5 + 1e-6
+    assert report["grid_points"] <= 40
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"),

@@ -127,6 +127,21 @@ def test_embed_covers_every_point_of_the_ball():
         assert np.linalg.norm(grid.points[emb.support] - y, axis=1).max() < grid.alpha / 2.0
 
 
+def test_embed_keeps_the_last_embedding():
+    # the certificate reuses the embedding the residual's F(y) computed
+    grid = _coarse_grid(alpha=0.2)
+    y = np.array([0.13, -0.21])
+    first = embed(y, grid)
+    assert embed(y, grid) is first
+    assert embed(y.tolist(), grid) is first
+    other = embed(np.array([0.2, 0.1]), grid)
+    assert other is not first
+    again = embed(y, grid)
+    assert again is not first
+    np.testing.assert_array_equal(again.support, first.support)
+    np.testing.assert_array_equal(again.weights, first.weights)
+
+
 def test_embed_rejects_outside_ball():
     grid = _coarse_grid(alpha=0.2)
     with pytest.raises(DomainError):
@@ -342,6 +357,12 @@ def test_run_pipeline_certificate_chain_terms():
     f = StepMap1D(1.0)
     assert abs(f(float(cert.z[0])) - cert.fz[0]) <= TOL_GEOM
     assert run.displacement_recheck < params.eps_prime
+
+
+def test_an_explicit_fp_tol_that_leaves_no_alpha_is_rejected():
+    # the default fp_tol shrinks with the gap; an explicit one is taken as given
+    with pytest.raises(DomainError, match="leaves no alpha"):
+        run_pipeline(ExtremalMap(dim=1, eps=1.0), 1, 1.0, 0.5 + 1e-6, fp_tol=1e-6)
 
 
 def test_run_pipeline_respects_grid_budget():

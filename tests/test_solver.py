@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ballfix import pipeline
 from ballfix.errors import NoConvergenceError
 from ballfix.geometry import jung_radius
 from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap
 from ballfix.pipeline import (
     PipelineParams,
+    _start_inverse,
     averaged_map_eval,
     build_sample_grid,
     extract_certificate,
@@ -133,6 +135,18 @@ def test_lattice_aligned_values_end_the_path(seed, count, dim, delta, index, mar
     assert float(np.linalg.norm(f(run.certificate.z) - run.certificate.z)) < eps_prime
 
 
+@pytest.mark.parametrize("seed, count, dim, delta", [
+    (99, 600, 2, 0.3),
+    (98, 150, 3, 0.4),
+    (97, 100, 2, 0.1),
+])
+def test_stress_sets_certify(seed, count, dim, delta):
+    # expansive quantized maps, many of them flat on their coarse levels
+    for f in quantized_maps(np.random.default_rng(seed), count, dim, delta, 2.0, 4.0):
+        run = certify(f, dim)
+        assert run.fixed_point.pivots <= 500
+
+
 def _solve(f, dim, alpha, **kwargs):
     grid = build_sample_grid(f, dim, alpha)
     result = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid, **kwargs)
@@ -202,6 +216,79 @@ def test_restarts_keep_a_far_fixed_point_cheap():
     np.testing.assert_allclose(result.y, c, atol=1e-12)
     assert result.pivots <= 60
     assert len(grid) <= 40
+
+
+def _levels(monkeypatch, f, dim, alpha):
+    """The spacings, in grid cells, of the levels find_fixed_point runs."""
+    steps, path = [], pipeline._merrill_path
+
+    def spy(grid, step, *args):
+        steps.append(step)
+        return path(grid, step, *args)
+
+    monkeypatch.setattr(pipeline, "_merrill_path", spy)
+    _, result = _solve(f, dim, alpha)
+    assert result.residual <= 1e-12
+    return steps
+
+
+def test_a_flat_level_drops_the_next_one(monkeypatch):
+    # every level ends on the one value: after each flat level the spacing
+    # shrinks by 16, never past the grid's (the full schedule is 128, 32, 8, 2, 1)
+    assert _levels(monkeypatch, ConstantMap((0.31, -0.17)), 2, 0.01) == [128, 8, 1]
+
+
+def test_levels_that_are_not_flat_keep_the_schedule(monkeypatch):
+    assert _levels(monkeypatch, ExtremalMap(dim=2, eps=1.0), 2, 1 / 64) == [64, 16, 4, 1]
+
+
+class HoleMap:
+    """v everywhere except strictly within r of v, where it is -v: the
+    coarse levels see only v, the fine ones the hole around it."""
+
+    def __init__(self, v, r):
+        self.v, self.r = np.array(v, dtype=float), r
+        self.dim, self.eps = len(v), 2.0 * float(np.linalg.norm(self.v))
+
+    def batch(self, xs):
+        inside = np.linalg.norm(np.asarray(xs, dtype=float) - self.v, axis=1) < self.r
+        return np.where(inside[:, None], -self.v, self.v)
+
+    def __call__(self, x):
+        return self.batch(np.asarray(x, dtype=float)[None])[0]
+
+
+def test_a_hole_under_a_flat_level_costs_few_pivots():
+    # dropping one level after a flat one keeps the next path within 16
+    # cells of v; jumping straight to the grid's spacing took 106 pivots here
+    f, alpha = HoleMap((0.31,), 0.1), 1 / 256
+    grid, result = _solve(f, 1, alpha)
+    assert result.residual <= 1e-12
+    assert result.pivots <= 25
+    params = PipelineParams(dim=1, eps=f.eps, eps_prime=0.33, gamma=0.02, alpha=alpha,
+                            fp_tol=1e-9)
+    cert = extract_certificate(result, grid, params)
+    assert float(np.linalg.norm(f(cert.z) - cert.z)) < params.eps_prime
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_closed_form_start_inverse_matches_numpy(dim):
+    # the level start's basis [1; c - h x_k] over the Kuhn simplex of c
+    rng = np.random.default_rng(dim)
+    for h in (1e-6, 1e-4, 1e-2, 0.3, 1.0):
+        for c in rng.uniform(-1.0, 1.0, (5, dim)) / math.sqrt(dim):
+            u = [x / h for x in c]
+            base = [math.floor(x) for x in u]
+            axes = sorted(range(dim), key=lambda i: base[i] - u[i])
+            vertices = [list(base)]
+            for axis in axes:
+                vertices.append(list(vertices[-1]))
+                vertices[-1][axis] += 1
+            basis = np.array([[1.0] + [t - h * x for t, x in zip(c, v)] for v in vertices]).T
+            expected = np.linalg.inv(basis)
+            inverse = np.array(_start_inverse([u[i] - base[i] for i in axes], axes, h))
+            assert np.abs(inverse[:, 0] - expected[:, 0]).max() <= 1e-9, (h, c)
+            assert np.abs(inverse[:, 1:] - expected[:, 1:]).max() <= 1e-9 / h, (h, c)
 
 
 if __name__ == "__main__":
