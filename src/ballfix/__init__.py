@@ -12,7 +12,6 @@ from .errors import (
     BallfixError,
     BudgetExceededError,
     CertificateError,
-    CoveringViolationError,
     DomainError,
     HypothesisError,
     InvalidCombinationError,
@@ -37,7 +36,6 @@ from .maps import (
     DiscontinuityWitness1D,
     ExtremalMap,
     IdentityMap,
-    ModulusEstimate,
     SampledMap,
     StepMap1D,
     discontinuity_witness_1d,

@@ -4,11 +4,8 @@ Subcommands: radius | extremal | pipeline | verify | figure.  Reports are
 JSON (schema documented in docs/schemas.md, carried in each report's
 schema_version field) or CSV; the figure subcommand emits an SVG of the
 planar extremal construction.  All output is deterministic for a fixed
-configuration and seed.
-
-Exit codes: 0 success, 1 Jung counterexample found (verify), 2
-usage/validation, 3 hypothesis violation, 4 budget exhaustion, 5 I/O
-failure.
+configuration and seed.  Exit codes: the EXIT_* constants below, whose
+meanings are tabled in docs/schemas.md.
 """
 
 from __future__ import annotations
@@ -194,9 +191,7 @@ def _build_map(args):
 
 def cmd_pipeline(args) -> int:
     f, dim, eps = _build_map(args)
-    run = pipeline.run_pipeline(
-        f, dim, eps, args.eps_prime,
-        fp_tol=args.fp_tol, grid_budget=args.budget)
+    run = pipeline.run_pipeline(f, dim, eps, args.eps_prime, grid_budget=args.budget)
     cert = run.certificate
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -361,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", dest="eps_prime", type=float, required=True)
     p.add_argument("--value", default=None,
                    help="comma-separated constant-map value")
-    p.add_argument("--fp-tol", dest="fp_tol", type=float, default=None,
-                   help="fixed-point residual bound (default min(1e-6, gamma/(2 R_n)))")
     common(p, budget=pipeline.DEFAULT_GRID_BUDGET)
     p.set_defaults(func=cmd_pipeline)
 

@@ -27,12 +27,9 @@ class DomainError(BallfixError, ValueError):
 
 class HypothesisError(BallfixError, ValueError):
     """The requested displacement bound is at or below the provable optimum,
-    so no certificate can exist in general."""
-
-
-class CoveringViolationError(BallfixError, RuntimeError):
-    """A sample grid failed its covering guarantee (empty embedding support).
-    Nothing in the pipeline raises it: Kuhn simplices cover every point."""
+    so no certificate can exist in general, or above it by a gap that
+    double precision cannot resolve: no alpha > 0 closes the certificate
+    chain."""
 
 
 class BudgetExceededError(BallfixError, RuntimeError):

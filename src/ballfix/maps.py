@@ -41,7 +41,6 @@ __all__ = [
     "DiscontinuityWitness1D",
     "ExtremalMap",
     "IdentityMap",
-    "ModulusEstimate",
     "SampledMap",
     "StepMap1D",
     "discontinuity_witness_1d",
@@ -273,18 +272,6 @@ def sample_map_on_grid(f, dim: int, spacing: float, eps: float | None = None) ->
 
 
 @dataclass(frozen=True)
-class ModulusEstimate:
-    """Largest image diameter over closed sample-neighborhoods of one scale.
-
-    Lower-bounds the modulus of discontinuity of the underlying map
-    restricted to the samples; monotone nondecreasing in the scale.
-    """
-
-    scale: float
-    value: float
-
-
-@dataclass(frozen=True)
 class DiscontinuityWitness1D:
     """A close pair certifying a jump: `right_point` is a sample the map
     moves right by more than the target displacement, `left_point` one it
@@ -350,12 +337,13 @@ def neighborhood_diameter(points: np.ndarray, values: np.ndarray, r: float,
     return best
 
 
-def modulus_estimate(m: SampledMap, r: float) -> ModulusEstimate:
+def modulus_estimate(m: SampledMap, r: float) -> float:
     """Max over samples z of the image diameter of the closed ball of
-    radius r around z, intersected with the sample set."""
+    radius r around z, intersected with the sample set: a lower bound on
+    the map's modulus of discontinuity at scale r, nondecreasing in r."""
     if r <= 0:
         raise DomainError(f"neighborhood radius must be positive, got {r}")
-    return ModulusEstimate(scale=float(r), value=neighborhood_diameter(m.points, m.values, r))
+    return neighborhood_diameter(m.points, m.values, r)
 
 
 def eps_fixed_indices(m: SampledMap, eps_prime: float) -> np.ndarray:

@@ -41,7 +41,6 @@ from .geometry import (
     check_weights,
     jung_radius,
 )
-from .maps import SampledMap
 
 DEFAULT_GRID_BUDGET = 2_000_000
 DEFAULT_EVAL_BUDGET = 100_000  # pivots of the fixed-point path
@@ -86,8 +85,9 @@ class PipelineParams:
 
         (eps + gamma)/R + alpha/2 + fp_tol < eps_prime,   R = jung_radius(dim)
 
-    extends the exact-arithmetic requirement by the solver residual so the
-    certificate inequality stays fully checkable.
+    (chain_bound below, the one place it is written) extends the
+    exact-arithmetic requirement by the solver residual so the certificate
+    inequality stays fully checkable.
     """
 
     dim: int
@@ -104,11 +104,15 @@ class PipelineParams:
                 f"gamma={self.gamma} outside (0, {radius * self.eps_prime - self.eps})")
         if self.alpha <= 0 or self.fp_tol <= 0:
             raise DomainError("alpha and fp_tol must be positive")
-        slack = (self.eps + self.gamma) / radius + self.alpha / 2.0 + self.fp_tol
-        if not slack < self.eps_prime:
+        if not self.certificate_bound < self.eps_prime:
             raise DomainError(
-                f"certificate chain bound {slack} does not undercut eps_prime={self.eps_prime}; "
-                "decrease alpha or fp_tol")
+                f"certificate chain bound {self.certificate_bound} does not undercut "
+                f"eps_prime={self.eps_prime}; decrease alpha or fp_tol")
+
+    @staticmethod
+    def chain_bound(dim: int, eps: float, gamma: float, alpha: float, fp_tol: float) -> float:
+        """(eps + gamma)/R + alpha/2 + fp_tol, which must undercut eps_prime."""
+        return (eps + gamma) / jung_radius(dim) + alpha / 2.0 + fp_tol
 
     @property
     def jung_term_bound(self) -> float:
@@ -116,7 +120,7 @@ class PipelineParams:
 
     @property
     def certificate_bound(self) -> float:
-        return self.jung_term_bound + self.alpha / 2.0 + self.fp_tol
+        return self.chain_bound(self.dim, self.eps, self.gamma, self.alpha, self.fp_tol)
 
 
 class SampleGrid:
@@ -176,12 +180,6 @@ class SampleGrid:
     @property
     def values(self) -> np.ndarray:
         return self._as_arrays()[1]
-
-    @property
-    def sampled(self) -> SampledMap:
-        """The touched samples as a SampledMap with covering radius alpha/2."""
-        return SampledMap(self.points, self.values, covering_radius=self.alpha / 2.0,
-                          eps=getattr(self.f, "eps", None))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -332,19 +330,18 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     return emb
 
 
-def simplicial_image_check(grid: SampleGrid, bound: float,
-                           alpha: float | None = None) -> RipsEdgeViolation | None:
+def simplicial_image_check(grid: SampleGrid, bound: float) -> RipsEdgeViolation | None:
     """Verify every Rips edge of the sample set maps to a short segment.
 
     Materializes the grid and checks ||f(z) - f(z')|| <= bound for all
-    samples with ||z - z'|| <= alpha; edges determine all Rips simplices,
-    so this bounds every simplex image diameter.  Returns None on success,
-    else the worst violating edge.  An oracle for the tests: the pipeline
-    checks the one simplex it certifies, in extract_certificate.
+    samples with ||z - z'|| <= grid.alpha; edges determine all Rips
+    simplices, so this bounds every simplex image diameter.  Returns None
+    on success, else the worst violating edge.  An oracle for the tests:
+    the pipeline checks the one simplex it certifies, in
+    extract_certificate.
     """
-    alpha = grid.alpha if alpha is None else float(alpha)
     points, values = grid.materialize().points, grid.values
-    pairs = cKDTree(points).query_pairs(alpha, output_type="ndarray")
+    pairs = cKDTree(points).query_pairs(grid.alpha, output_type="ndarray")
     if pairs.shape[0] == 0:
         return None
     image_d = np.linalg.norm(values[pairs[:, 0]] - values[pairs[:, 1]], axis=1)
@@ -501,8 +498,11 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
         # The facet's zero is at time sum(weights at level 1): at time 1, up
         # to rounding, it is a fixed point.  Degenerate maps (values on
         # lattice faces) get there before the whole facet reaches level 1.
+        # A facet wholly at level 1 ends the path whatever its weights sum
+        # to: at spacing h they carry rounding of order 1/h, and a missed
+        # end would pivot to a vertex at time 2.
         at_top = [row[0] * k for row, k in zip(inverse, level)]
-        if sum(at_top) >= 1.0 - 1e-12:
+        if all(level) or sum(at_top) >= 1.0 - 1e-12:
             tops = [grid.value(tuple(step * x for x in space[r]))
                     for r in range(n + 1) if at_top[r] > 0]
             return zero(at_top), pivots, True, all(value == tops[0] for value in tops)
@@ -582,32 +582,34 @@ class PipelineRun:
 
 
 def run_pipeline(f, dim: int, eps: float, eps_prime: float,
-                 fp_tol: float | None = None,
                  grid_budget: int = DEFAULT_GRID_BUDGET) -> PipelineRun:
     """End-to-end certificate search for a map of discontinuity scale eps.
 
     Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
     maps admit no certificate).  Picks gamma as half the available slack,
-    fp_tol (unless given) as min(1e-6, gamma/(2R)) and alpha from eps so
-    that the certificate chain arithmetic closes, then finds a fixed point
-    of the averaged map on the lazy grid.  extract_certificate checks the
-    Jung term on the support at that fixed point; while it fails alpha is
-    halved, until the grid budget stops a map that is not eps-continuous.
-    The returned certificate's displacement is re-evaluated directly on f,
-    not trusted from grid internals.
+    fp_tol as min(1e-6, gamma/(2R)), and alpha by halving eps until the
+    certificate chain (PipelineParams.chain_bound) closes, then finds a
+    fixed point of the averaged map on the lazy grid.  An eps_prime so
+    close above the bound that gamma rounds to 0, or that no alpha > 0
+    closes the chain, is a HypothesisError: doubles cannot resolve the gap.
+    extract_certificate checks the Jung term on the support at that fixed
+    point; while it fails alpha is halved, until the grid budget stops a
+    map that is not eps-continuous.  The returned certificate's
+    displacement is re-evaluated directly on f, not trusted from grid
+    internals.
     """
     radius = _check_hypothesis(dim, eps, eps_prime)
     gamma = (radius * eps_prime - eps) / 2.0
-    if fp_tol is None:
-        fp_tol = min(1e-6, gamma / (2.0 * radius))
-    arithmetic_room = gamma / radius - fp_tol  # required: alpha/2 < this
-    if arithmetic_room <= 0:
-        raise DomainError(
-            f"fp_tol={fp_tol} leaves no alpha satisfying the certificate chain; "
-            f"reduce it below {gamma / radius}")
+    below_precision = (f"eps_prime={eps_prime} exceeds eps/jung_radius(dim)={eps / radius} "
+                       "by less than double precision can resolve")
+    if not gamma > 0:
+        raise HypothesisError(f"{below_precision}: the slack gamma rounds to {gamma}")
+    fp_tol = min(1e-6, gamma / (2.0 * radius))
     alpha = float(eps)
-    while alpha / 2.0 >= arithmetic_room:
+    while not PipelineParams.chain_bound(dim, eps, gamma, alpha, fp_tol) < eps_prime:
         alpha /= 2.0
+        if alpha == 0.0:
+            raise HypothesisError(f"{below_precision}: no alpha > 0 closes the certificate chain")
     while True:
         params = PipelineParams(dim=dim, eps=eps, eps_prime=eps_prime,
                                 gamma=gamma, alpha=alpha, fp_tol=fp_tol)

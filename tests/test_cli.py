@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -148,17 +151,15 @@ def test_pipeline_missing_map_file(tmp_path):
 def test_pipeline_budget_exit_code():
     # a bound this tight needs a finer grid than the budget allows
     assert run_cli("pipeline", "--map", "step", "--eps", "1",
-                   "--eps-prime", "0.5001", "--fp-tol", "1e-8",
-                   "--budget", "1000") == EXIT_BUDGET
+                   "--eps-prime", "0.5001", "--budget", "1000") == EXIT_BUDGET
 
 
 def test_a_gap_of_1e_6_is_a_budget_question_not_a_usage_error(capsys):
     # a fixed fp_tol of 1e-6 left no alpha at this gap, and the run exited 2;
-    # the default now shrinks with the gap, so only the grid budget decides
+    # fp_tol shrinks with the gap, so only the grid budget decides
     argv = ("pipeline", "--map", "extremal", "--n", "1", "--eps", "1",
             "--eps-prime", repr(0.5 + 1e-6), "--out", "-")
     assert run_cli(*argv) == EXIT_BUDGET
-    assert run_cli(*argv, "--fp-tol", "1e-6") == EXIT_USAGE
     capsys.readouterr()
     assert run_cli(*argv, "--budget", str(10**13)) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -166,6 +167,49 @@ def test_a_gap_of_1e_6_is_a_budget_question_not_a_usage_error(capsys):
     assert report["certificate"]["residual"] <= report["params"]["fp_tol"]
     assert report["displacement_recheck"] < 0.5 + 1e-6
     assert report["grid_points"] <= 40
+
+
+def _ballfix(*argv):
+    """`python -m ballfix` in a subprocess, killed after 60 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run([sys.executable, "-m", "ballfix", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("n, eps_prime, code, cause", [
+    # gamma rounds to 0: one ulp above eps/R_3 and eps/R_8
+    ("3", "0.6123724356957946", EXIT_HYPOTHESIS, "rounds to 0.0"),
+    ("8", "0.6666666666666667", EXIT_HYPOTHESIS, "rounds to 0.0"),
+    # three ulps above eps/R_2: fp_tol and the Jung term already reach eps'
+    ("2", "0.5773502691896261", EXIT_HYPOTHESIS, "no alpha > 0 closes"),
+    # 1.4e-14 above eps/R_2 the chain closes at alpha = 2^-48, on a grid
+    # far over budget
+    ("2", "0.57735026918964", EXIT_BUDGET, "alpha=3.552713678800501e-15"),
+])
+def test_near_bound_gaps_exit_without_a_validation_error_or_a_hang(n, eps_prime, code, cause):
+    # each exited 2 with a validation error before; deleting that check
+    # alone left the first looping forever
+    done = _ballfix("pipeline", "--map", "extremal", "--eps", "1", "--n", n,
+                    "--eps-prime", eps_prime)
+    assert done.returncode == code, done.stderr
+    assert cause in done.stderr
+    assert done.stdout == ""
+
+
+def test_a_path_that_reaches_its_slab_top_certifies(capsys):
+    # at spacing 1.7e-7 the last level's facet weights sum to 1 - 2e-11; the
+    # path used to pivot past level 1 and exit 2 with "residual 0.144"
+    eps_prime = 0.5773512691896259
+    assert run_cli("pipeline", "--map", "extremal", "--n", "2", "--eps", "1",
+                   "--eps-prime", repr(eps_prime), "--budget", str(10**15),
+                   "--out", "-") == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["certificate"]["residual"] <= report["params"]["fp_tol"]
+    z = np.array(report["certificate"]["z"])
+    assert np.linalg.norm(ExtremalMap(dim=2, eps=1.0)(z) - z) < eps_prime
+    assert report["displacement_recheck"] < eps_prime
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -362,6 +406,7 @@ def test_outputs_byte_identical_across_runs(tmp_path, argv):
     ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--format", "csv"),
     ("figure", "--format", "csv"),
     ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--seed", "0"),
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55", "--fp-tol", "1e-6"),
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

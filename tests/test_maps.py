@@ -168,20 +168,20 @@ def test_sampled_map_evaluates_at_the_nearest_sample(f, dim, spacing):
 
 def test_modulus_estimate_examples():
     constant = sample_map_on_grid(ConstantMap(np.zeros(1)), 1, 0.05)
-    assert modulus_estimate(constant, 0.3).value == 0.0
+    assert modulus_estimate(constant, 0.3) == 0.0
 
     step = sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0)
-    assert modulus_estimate(step, 0.05).value == pytest.approx(1.0, abs=TOL_GEOM)
+    assert modulus_estimate(step, 0.05) == pytest.approx(1.0, abs=TOL_GEOM)
 
     positive = SampledMap(step.points[step.points[:, 0] > 0],
                           step.values[step.points[:, 0] > 0],
                           covering_radius=1.0)
-    assert modulus_estimate(positive, 0.05).value == 0.0
+    assert modulus_estimate(positive, 0.05) == 0.0
 
 
 def test_modulus_estimate_monotone_in_radius():
     step = sample_map_on_grid(StepMap1D(1.0), 1, 0.02)
-    values = [modulus_estimate(step, r).value for r in (0.01, 0.05, 0.1, 0.5, 1.0)]
+    values = [modulus_estimate(step, r) for r in (0.01, 0.05, 0.1, 0.5, 1.0)]
     assert values == sorted(values)
     assert max(values) <= image_diameter(step) + TOL_GEOM
 

@@ -13,7 +13,7 @@ from ballfix.errors import (
     NoConvergenceError,
 )
 from ballfix.geometry import TOL_GEOM, TOL_WEIGHTS, jung_radius, random_ball_points
-from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, StepMap1D
+from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, SampledMap, StepMap1D
 from ballfix.pipeline import (
     PipelineParams,
     SampleGrid,
@@ -67,13 +67,17 @@ def test_build_sample_grid_interval_cover():
     xs = np.sort(grid.points[:, 0])
     assert xs[0] <= -1.0 + 0.1 and xs[-1] >= 1.0 - 0.1
     assert np.max(np.diff(xs)) <= 0.1 + 1e-12
-    assert grid.sampled.covering_radius == pytest.approx(0.1)
-    assert grid.sampled.check_covering(probes=2000) <= 0.1
+    assert _sampled(grid).check_covering(probes=2000) <= 0.1
+
+
+def _sampled(grid):
+    """The grid's samples as a map claiming covering radius alpha/2."""
+    return SampledMap(grid.points, grid.values, covering_radius=grid.alpha / 2.0)
 
 
 def test_build_sample_grid_planar_cover_probe():
     grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.2).materialize()
-    assert grid.sampled.check_covering(probes=1000) <= 0.1
+    assert _sampled(grid).check_covering(probes=1000) <= 0.1
     # boundary ring present: some samples sit on the sphere
     norms = np.linalg.norm(grid.points, axis=1)
     assert np.isclose(norms.max(), 1.0, atol=1e-12)
@@ -219,10 +223,9 @@ def test_simplicial_check_witnesses_oversized_jump():
 
 
 def test_simplicial_check_shrinking_alpha_keeps_pass():
-    grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.2)
-    assert simplicial_image_check(grid, bound=1.05) is None
-    for shrink in (0.1, 0.05, 0.01):
-        assert simplicial_image_check(grid, bound=1.05, alpha=shrink) is None
+    for alpha in (0.2, 0.1, 0.05):
+        grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, alpha)
+        assert simplicial_image_check(grid, bound=1.05) is None
 
 
 # --- averaged map ----------------------------------------------------------------
@@ -359,17 +362,28 @@ def test_run_pipeline_certificate_chain_terms():
     assert run.displacement_recheck < params.eps_prime
 
 
-def test_an_explicit_fp_tol_that_leaves_no_alpha_is_rejected():
-    # the default fp_tol shrinks with the gap; an explicit one is taken as given
-    with pytest.raises(DomainError, match="leaves no alpha"):
-        run_pipeline(ExtremalMap(dim=1, eps=1.0), 1, 1.0, 0.5 + 1e-6, fp_tol=1e-6)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 4), eps=st.floats(0.05, 1.4), doublings=st.integers(0, 52),
+       extra=st.integers(0, 7))
+def test_eps_prime_above_the_bound_never_ends_in_a_domain_error(dim, eps, doublings, extra):
+    # any eps' above eps/R_n, from one ulp up: a certificate, a gap below
+    # double precision, or a grid over budget
+    bound = eps / jung_radius(dim)
+    eps_prime = bound + math.ulp(bound) * (2 ** doublings + extra)
+    f = ExtremalMap(dim=dim, eps=eps)
+    try:
+        run = run_pipeline(f, dim, eps, eps_prime, grid_budget=10_000)
+    except (HypothesisError, BudgetExceededError):
+        return
+    assert run.params.certificate_bound < eps_prime
+    assert math.dist(f(run.certificate.z), run.certificate.z) < eps_prime
 
 
 def test_run_pipeline_respects_grid_budget():
     # eps_prime this close to the bound forces alpha below what a
     # 1000-point grid can deliver
     with pytest.raises(BudgetExceededError):
-        run_pipeline(StepMap1D(1.0), 1, 1.0, 0.5001, grid_budget=1000, fp_tol=1e-8)
+        run_pipeline(StepMap1D(1.0), 1, 1.0, 0.5001, grid_budget=1000)
 
 
 class VoronoiStepMap:

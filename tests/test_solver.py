@@ -218,6 +218,19 @@ def test_restarts_keep_a_far_fixed_point_cheap():
     assert len(grid) <= 40
 
 
+def test_a_path_ends_at_the_top_of_its_slab():
+    # At spacing h = 1.7e-7 the basis inverse has entries near 1/h, so the
+    # weights of the last level's facet, wholly at level 1, sum to 1 - 2e-11.
+    # The path must end there: pivoting on to a vertex at time 2 returned a
+    # point 0.144 from its image.
+    grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 2.0 ** -21, max_points=10**15)
+    assert grid.spacing == pytest.approx(1.686e-7, rel=1e-3)
+    result = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid)
+    assert result.residual <= 1e-12
+    assert result.pivots <= 120
+    assert len(grid) <= 64
+
+
 def _levels(monkeypatch, f, dim, alpha):
     """The spacings, in grid cells, of the levels find_fixed_point runs."""
     steps, path = [], pipeline._merrill_path
