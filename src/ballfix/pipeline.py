@@ -5,10 +5,12 @@ triangulation of the lattice s*Z^n, s = alpha/(2 sqrt(n)), each vertex
 sampled at its radial projection onto the ball, so every simplex has
 diameter alpha/2.  The averaged map F weights the sampled values of the
 simplex holding a point by its barycentric coordinates there: F is a
-continuous, piecewise-linear self-map of the ball.  Merrill's restart
-algorithm follows a path of completely labelled simplices to an exact
-fixed point y of F.  F(y) is then a convex combination of the values at
-the vertices of one simplex, all within alpha/2 of y, so by Jung's theorem
+continuous, piecewise-linear self-map of the ball, affine on each
+simplex.  An exact fixed point y of F is solved for directly in the
+simplex at the start, or else found by Merrill's restart algorithm, which
+follows a path of completely labelled simplices.  F(y) is then a convex
+combination of the values at the vertices of one simplex, all within
+alpha/2 of y, so by Jung's theorem
 some sample there is displaced by less than the requested bound; the
 triangle-inequality chain certifying this is returned as a checkable
 certificate.  f is evaluated only at the vertices the path touches.
@@ -295,12 +297,27 @@ def build_sample_grid(f, dim: int, alpha: float,
     return SampleGrid(f, dim, alpha, max_points=max_points)
 
 
+def _kuhn_simplex(u: list[float]) -> tuple[list[tuple[int, ...]], list[int], list[float]]:
+    """The Kuhn simplex holding the point u of lattice coordinates: its
+    vertices, from the base floor(u) one unit step along each axis in
+    decreasing order of the fractional parts of u; those axes; and the
+    fractional parts, in that order."""
+    vertex = [math.floor(x) for x in u]
+    frac = [x - k for x, k in zip(u, vertex)]
+    axes = sorted(range(len(u)), key=lambda i: -frac[i])
+    vertices = [tuple(vertex)]
+    for axis in axes:
+        vertex[axis] += 1
+        vertices.append(tuple(vertex))
+    return vertices, axes, [frac[i] for i in axes]
+
+
 def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     """Barycentric embedding of y into the Kuhn triangulation of the grid.
 
-    The simplex holding u = y/s has base floor(u) and steps along the axes
-    in decreasing order of the fractional parts f; its weights are
-    1 - f_(1), f_(1) - f_(2), ..., f_(n).  Vertices of weight 0 are dropped,
+    The simplex holding u = y/s (_kuhn_simplex) has the weights
+    1 - f_(1), f_(1) - f_(2), ..., f_(n), f the decreasing fractional
+    parts of u.  Vertices of weight 0 are dropped,
     so the embedding is continuous in y.  The grid keeps the last
     embedding, which the certificate reuses for the fixed point.
     """
@@ -311,18 +328,13 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
         raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
     if math.hypot(*y) > 1.0 + TOL_GEOM:
         raise DomainError("embedding is defined on the unit ball only")
-    u = [x / grid.spacing for x in y]
-    vertex = [math.floor(x) for x in u]
-    frac = [x - k for x, k in zip(u, vertex)]
-    order = sorted(range(grid.dim), key=lambda i: -frac[i])
-    descending = [1.0] + [frac[i] for i in order] + [0.0]
+    vertices, _, frac = _kuhn_simplex([x / grid.spacing for x in y])
+    descending = [1.0] + frac + [0.0]
     keys, weights = [], []
-    for j, axis in enumerate(order + [None]):
+    for j, vertex in enumerate(vertices):
         if descending[j] > descending[j + 1]:
-            keys.append(tuple(vertex))
+            keys.append(vertex)
             weights.append(descending[j] - descending[j + 1])
-        if axis is not None:
-            vertex[axis] += 1
     support = grid.touch(keys)
     points = np.array([grid._point_rows[k] for k in support.tolist()])
     emb = EmbeddedPoint(support=support, points=points, weights=np.array(weights))
@@ -384,29 +396,43 @@ def find_fixed_point(F, grid: SampleGrid,
     (its fixed point is the one value v of its weighted level-1 vertices,
     hence v at every spacing) the next level, unless last, is dropped.
     The coarse lattices are sublattices of the grid's, so their samples
-    are grid samples.  NoConvergenceError means only that max_pivots,
-    counted over all levels, ran out.  F is called for the residual.
+    are grid samples.
+
+    Before any path, and again after each flat level but the last, the
+    grid's own Kuhn simplex at the next start (the origin, then v) is
+    solved directly (_kuhn_fixed_point): F is affine there, and when that
+    simplex holds a fixed point it is the result, with no pivots counted
+    and no level left to run.  NoConvergenceError means only that
+    max_pivots, counted over all levels, ran out.  F is called for the
+    residual.
     """
     n, s = grid.dim, grid.spacing
     # Distinct irrational fractional parts keep each start facet nondegenerate.
     offset = [1e-3 * ((i * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0) for i in range(1, n + 1)]
-    top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
-    pending = sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
-    y, pivots = [0.0] * n, 0
-    while pending:
-        step = pending.pop()
+
+    def start(y: list[float], step: int) -> list[float]:
         c = [x + step * s * o for x, o in zip(y, offset)]
         # In the ball, so that every zero on the path is too (scaled by
         # numpy's norm, for the bits, in the rare case that it leaves).
         if math.hypot(*c) > 1.0 - 1e-9:
             c = (np.array(c) / max(1.0, float(np.linalg.norm(c)))).tolist()
-        y, used, reached, flat = _merrill_path(grid, step, c, max_pivots - pivots)
+        return c
+
+    top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
+    pending = sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
+    y, pivots, reached = [0.0] * n, 0, True
+    direct = _kuhn_fixed_point(grid, start(y, 1))
+    while pending and direct is None:
+        step = pending.pop()
+        y, used, reached, flat = _merrill_path(grid, step, start(y, step), max_pivots - pivots)
         pivots += used
         if not reached:
             break
-        if flat and len(pending) > 1:
-            pending.pop()
-    y = np.array(y)
+        if flat and pending:
+            if len(pending) > 1:
+                pending.pop()
+            direct = _kuhn_fixed_point(grid, start(y, 1))
+    y = np.array(y if direct is None else direct)
     residual = float(np.linalg.norm(F(y) - y))
     if not reached:
         raise NoConvergenceError(
@@ -414,6 +440,49 @@ def find_fixed_point(F, grid: SampleGrid,
             "at its last point",
             best_point=y, best_residual=residual)
     return FixedPointResult(y, residual, pivots)
+
+
+def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
+    """The fixed point of the averaged map F in the grid's Kuhn simplex of
+    c, or None if that simplex holds none.  F is affine there, so its
+    fixed point y = sum_k lambda_k s x_k solves the (n+1)x(n+1) system
+    [1 ... 1; v_k - s x_k] lambda = e_0 over the simplex's vertices s x_k
+    and their values v_k, the system of Merrill's final basis; y lies in
+    the simplex when the system is nonsingular and every lambda_k >= 0.
+    f is evaluated at the vertices in one batch."""
+    s = grid.spacing
+    vertices, _, _ = _kuhn_simplex([x / s for x in c])
+    values = [grid._rows[k] for k in grid.touch(vertices).tolist()]
+    labels = [[value[i] - s * v[i] for value, v in zip(values, vertices)]
+              for i in range(grid.dim)]
+    weights = _linear_solve([[1.0] * len(vertices)] + labels, [1.0] + [0.0] * grid.dim)
+    if weights is None or not all(w >= 0.0 for w in weights):
+        return None
+    total = sum(weights)
+    return [s * sum(w * v[i] for w, v in zip(weights, vertices)) / total
+            for i in range(grid.dim)]
+
+
+def _linear_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with a x = b, by Gaussian elimination with partial pivoting, or
+    None when a is singular.  Plain Python: cheaper than numpy calls at
+    these sizes."""
+    m = len(b)
+    rows = [row + [bi] for row, bi in zip(a, b)]
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            factor = row[k] / pivot[k]
+            row[k:] = [x - factor * y for x, y in zip(row[k:], pivot[k:])]
+    x = [0.0] * m
+    for k in reversed(range(m)):
+        row = rows[k]
+        x[k] = (row[m] - sum(row[j] * x[j] for j in range(k + 1, m))) / row[k]
+    return x
 
 
 def _start_inverse(frac: list[float], axes: list[int], h: float) -> list[list[float]]:
@@ -447,17 +516,14 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     whether it is flat there: its weighted level-1 vertices share a value.
     """
     n, h = grid.dim, step * grid.spacing
-    u = [x / h for x in c]
-    base = tuple(math.floor(x) for x in u)
-    # The slab simplex over the Kuhn simplex of c: the space axes in
-    # decreasing order of the fractional parts of u, then time (axis n).
-    perm = sorted(range(n), key=lambda i: base[i] - u[i]) + [n]
+    # The slab simplex over the Kuhn simplex of c: its space axes, then
+    # time (axis n).
+    vertices, axes, frac = _kuhn_simplex([x / h for x in c])
+    perm = axes + [n]
     unit = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
-    verts = [base + (0,)]
-    for axis in perm:
-        verts.append(tuple(map(add, verts[-1], unit[axis])))
+    verts = [v + (0,) for v in vertices] + [vertices[-1] + (1,)]
     # The path mostly ends over the start simplex: sample its vertices in one batch.
-    grid.touch([tuple(step * x for x in v[:n]) for v in verts[:n + 1]])
+    grid.touch([tuple(step * x for x in v) for v in vertices])
 
     def column(v: tuple[int, ...]) -> list[float]:
         top = grid.value(tuple(step * x for x in v[:n])) if v[n] else c
@@ -468,7 +534,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     # maps simplex positions to columns (-1 for the vertex about to enter).
     # Small dense algebra in plain Python: cheaper than numpy calls here.
     columns = [column(v) for v in verts[:n + 1]]
-    inverse = _start_inverse([u[i] - base[i] for i in perm[:n]], perm[:n], h)
+    inverse = _start_inverse(frac, axes, h)
     space = [v[:n] for v in verts[:n + 1]]
     level = [0] * (n + 1)
     row_of = list(range(n + 1)) + [-1]
@@ -534,7 +600,9 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     nearest to F(y); Jung's theorem bounds that distance by
     (eps+gamma)/R because the support image has diameter at most
     eps+gamma.  With ||F(y) - y|| <= fp_tol and the sample within alpha/2
-    of y, the triangle inequality certifies the displacement.
+    of y, the triangle inequality certifies the displacement.  Both checks
+    are exact, with no slack: the Jung term against its bound, the sample's
+    displacement against eps_prime.
     """
     if fp.residual > params.fp_tol:
         raise DomainError(
@@ -546,7 +614,7 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     image = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(grid.dim)]
     distances = [math.dist(row, image) for row in rows]
     jung_term = min(distances)
-    if jung_term > params.jung_term_bound + TOL_GEOM:
+    if not jung_term <= params.jung_term_bound:
         raise CertificateError(
             f"nearest support image at {jung_term}, above the Jung bound "
             f"{params.jung_term_bound}; alpha is too coarse for this map")
@@ -554,10 +622,9 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     z, fz = grid._point_rows[i], grid._rows[i]
     anchor_term = math.dist(z, fp.y.tolist())
     displacement = math.dist(fz, z)
-    if displacement > params.certificate_bound + TOL_GEOM:
+    if not displacement < params.eps_prime:
         raise CertificateError(
-            f"certified displacement {displacement} exceeds the chain bound "
-            f"{params.certificate_bound}")
+            f"certified displacement {displacement} is not below eps_prime={params.eps_prime}")
     return EpsFixedPointCertificate(
         z=np.array(z),
         fz=np.array(fz),

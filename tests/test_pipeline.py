@@ -297,8 +297,9 @@ def test_find_fixed_point_averaged_extremal():
 
 
 def test_find_fixed_point_budget_error():
+    # the fixed point is far from the start simplex, so a path must run
     with pytest.raises(NoConvergenceError) as err:
-        _solve(ExtremalMap(dim=2, eps=1.0), 2, 0.05, max_pivots=1)
+        _solve(ConstantMap(np.array([0.7, -0.5])), 2, 0.05, max_pivots=1)
     assert err.value.best_residual is not None
     assert err.value.best_point.shape == (2,)
 
@@ -360,6 +361,16 @@ def test_run_pipeline_certificate_chain_terms():
     f = StepMap1D(1.0)
     assert abs(f(float(cert.z[0])) - cert.fz[0]) <= TOL_GEOM
     assert run.displacement_recheck < params.eps_prime
+
+
+def test_a_jump_just_above_the_declared_eps_is_not_certified():
+    # values +-(0.5 + 3e-10) declared at eps 1: no point is displaced by
+    # less than 0.5 + 3e-10, above eps'.  The Jung term exceeds its bound by
+    # 2.4e-10, and the certified displacement eps' by 2e-10; both passed
+    # when the checks allowed 1e-9 of slack.
+    f = StepMap1D(1.0 + 6e-10)
+    with pytest.raises(BudgetExceededError):
+        run_pipeline(f, 1, 1.0, 0.5 + 1e-10, grid_budget=10**12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
 """Merrill's restart algorithm on the Kuhn triangulation: exact fixed
 points of the averaged map on the maps the damped iteration it replaced
 stalled on, on degenerate maps, far from the start, and under a pivot
-budget."""
+budget; and the direct solve of the grid's own Kuhn simplex that runs
+before any path."""
 
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballfix import pipeline
 from ballfix.errors import NoConvergenceError
@@ -17,6 +20,8 @@ from ballfix.geometry import jung_radius
 from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap
 from ballfix.pipeline import (
     PipelineParams,
+    _kuhn_fixed_point,
+    _kuhn_simplex,
     _start_inverse,
     averaged_map_eval,
     build_sample_grid,
@@ -94,9 +99,28 @@ def certify(f, dim):
     return run
 
 
+def _paths(monkeypatch, direct=True):
+    """The spacings, in grid cells, of the paths that run from here on;
+    with direct=False the direct solve of the grid's Kuhn simplex finds
+    nothing, so the paths must."""
+    steps, path = [], pipeline._merrill_path
+
+    def spy(grid, step, *args):
+        steps.append(step)
+        return path(grid, step, *args)
+
+    monkeypatch.setattr(pipeline, "_merrill_path", spy)
+    if not direct:
+        monkeypatch.setattr(pipeline, "_kuhn_fixed_point", lambda grid, c: None)
+    return steps
+
+
 @pytest.mark.parametrize("index", STALLED)
-def test_maps_the_damped_iteration_stalled_on_certify(index):
+def test_maps_the_damped_iteration_stalled_on_certify(monkeypatch, index):
+    # on maps 51, 72 and 99 the direct solve alone certifies: the path must too
+    paths = _paths(monkeypatch, direct=False)
     certify(coarse_pool()[2][index], 2)
+    assert paths
 
 
 def test_whole_coarse_pool_certifies():
@@ -122,17 +146,21 @@ def test_restart_schedule_certifies_the_fine_contraction_in_few_pivots():
     (5044, 40, 3, 0.3, 25, 2.0),
     (5047, 40, 3, 0.4, 36, 1.3),
 ])
-def test_lattice_aligned_values_end_the_path(seed, count, dim, delta, index, margin):
+def test_lattice_aligned_values_end_the_path(monkeypatch, seed, count, dim, delta, index,
+                                            margin):
     # Quantized values are lattice vertices on some level, so a path's zero
     # can reach time 1 on a facet that still has level-0 vertices, of
     # weight 0 up to rounding.  Waiting for a facet wholly at level 1
     # cycled on these maps; ending at time 1 certifies them in few pivots.
+    # (The direct solve alone certifies seeds 5044 and 5047: it is off.)
+    paths = _paths(monkeypatch, direct=False)
     f = quantized_maps(np.random.default_rng(seed), count, dim, delta, 2.0, 4.0)[index]
     eps_prime = margin * f.eps / jung_radius(dim)
     run = run_pipeline(f, dim, f.eps, eps_prime)
     assert run.fixed_point.residual <= 1e-12
     assert run.fixed_point.pivots <= 1000
     assert float(np.linalg.norm(f(run.certificate.z) - run.certificate.z)) < eps_prime
+    assert paths
 
 
 @pytest.mark.parametrize("seed, count, dim, delta", [
@@ -192,8 +220,9 @@ def test_constant_map_on_a_kuhn_face_terminates(dim, face):
 
 
 def test_a_pivot_budget_of_one_raises():
+    # the fixed point is far from the start simplex, so a path must run
     with pytest.raises(NoConvergenceError) as err:
-        _solve(ExtremalMap(dim=2, eps=1.0), 2, 0.2, max_pivots=1)
+        _solve(ConstantMap((0.7, -0.5)), 2, 0.2, max_pivots=1)
     assert "1 pivots" in str(err.value)
     assert np.linalg.norm(err.value.best_point) <= 1.0
     assert err.value.best_residual >= 0.0
@@ -218,41 +247,28 @@ def test_restarts_keep_a_far_fixed_point_cheap():
     assert len(grid) <= 40
 
 
-def test_a_path_ends_at_the_top_of_its_slab():
+def test_a_path_ends_at_the_top_of_its_slab(monkeypatch):
     # At spacing h = 1.7e-7 the basis inverse has entries near 1/h, so the
     # weights of the last level's facet, wholly at level 1, sum to 1 - 2e-11.
     # The path must end there: pivoting on to a vertex at time 2 returned a
-    # point 0.144 from its image.
+    # point 0.144 from its image.  (The start simplex holds the fixed point,
+    # so the direct solve is off.)
+    paths = _paths(monkeypatch, direct=False)
     grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 2.0 ** -21, max_points=10**15)
     assert grid.spacing == pytest.approx(1.686e-7, rel=1e-3)
     result = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid)
     assert result.residual <= 1e-12
     assert result.pivots <= 120
     assert len(grid) <= 64
+    assert paths[-1] == 1
 
 
-def _levels(monkeypatch, f, dim, alpha):
+def _levels(monkeypatch, f, dim, alpha, direct=True):
     """The spacings, in grid cells, of the levels find_fixed_point runs."""
-    steps, path = [], pipeline._merrill_path
-
-    def spy(grid, step, *args):
-        steps.append(step)
-        return path(grid, step, *args)
-
-    monkeypatch.setattr(pipeline, "_merrill_path", spy)
+    steps = _paths(monkeypatch, direct)
     _, result = _solve(f, dim, alpha)
     assert result.residual <= 1e-12
     return steps
-
-
-def test_a_flat_level_drops_the_next_one(monkeypatch):
-    # every level ends on the one value: after each flat level the spacing
-    # shrinks by 16, never past the grid's (the full schedule is 128, 32, 8, 2, 1)
-    assert _levels(monkeypatch, ConstantMap((0.31, -0.17)), 2, 0.01) == [128, 8, 1]
-
-
-def test_levels_that_are_not_flat_keep_the_schedule(monkeypatch):
-    assert _levels(monkeypatch, ExtremalMap(dim=2, eps=1.0), 2, 1 / 64) == [64, 16, 4, 1]
 
 
 class HoleMap:
@@ -271,6 +287,37 @@ class HoleMap:
         return self.batch(np.asarray(x, dtype=float)[None])[0]
 
 
+def test_a_flat_level_drops_the_next_one(monkeypatch):
+    # the coarse levels see only v, whose grid simplex lies in the hole, so
+    # the direct solve at v fails; the level after the flat one is dropped,
+    # and the spacing shrinks by 16 (the full schedule is 256, 64, 16, 4, 1)
+    assert _levels(monkeypatch, HoleMap((0.31,), 0.1), 1, 1 / 256) == [256, 16, 4, 1]
+
+
+def test_a_flat_level_is_solved_directly_at_its_value(monkeypatch):
+    # the first level ends on the one value, whose grid simplex holds the
+    # fixed point: the direct solve there ends the schedule (128, 32, 8, 2, 1)
+    assert _levels(monkeypatch, ConstantMap((0.31, -0.17)), 2, 0.01) == [128]
+
+
+def test_without_the_direct_solve_flat_levels_drop_to_the_grid(monkeypatch):
+    # every level ends on the one value: after each flat level the spacing
+    # shrinks by 16, never past the grid's
+    assert _levels(monkeypatch, ConstantMap((0.31, -0.17)), 2, 0.01,
+                   direct=False) == [128, 8, 1]
+
+
+def test_levels_that_are_not_flat_keep_the_schedule(monkeypatch):
+    # the 2-D start simplex holds the fixed point, the 3-D one does not
+    assert _levels(monkeypatch, ExtremalMap(dim=2, eps=1.0), 2, 1 / 64) == []
+    assert _levels(monkeypatch, ExtremalMap(dim=3, eps=1.0), 3, 1 / 8) == [8, 2, 1]
+
+
+def test_without_the_direct_solve_levels_keep_the_schedule(monkeypatch):
+    assert _levels(monkeypatch, ExtremalMap(dim=2, eps=1.0), 2, 1 / 64,
+                   direct=False) == [64, 16, 4, 1]
+
+
 def test_a_hole_under_a_flat_level_costs_few_pivots():
     # dropping one level after a flat one keeps the next path within 16
     # cells of v; jumping straight to the grid's spacing took 106 pivots here
@@ -282,6 +329,53 @@ def test_a_hole_under_a_flat_level_costs_few_pivots():
                             fp_tol=1e-9)
     cert = extract_certificate(result, grid, params)
     assert float(np.linalg.norm(f(cert.z) - cert.z)) < params.eps_prime
+
+
+def test_a_fixed_point_in_the_start_simplex_runs_no_path(monkeypatch):
+    paths = _paths(monkeypatch)
+    grid, result = _solve(ExtremalMap(dim=2, eps=1.0), 2, 1 / 64)
+    assert paths == []
+    assert result.pivots == 0
+    assert len(grid) == 3
+    assert result.residual <= 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    IdentityMap(2),  # every value is its vertex: the system is singular
+    ConstantMap((0.7, -0.5)),  # the fixed point is far: some lambda_k < 0
+])
+def test_a_start_simplex_without_a_fixed_point_falls_back_to_the_path(monkeypatch, f):
+    grid = build_sample_grid(f, 2, 0.2)
+    assert _kuhn_fixed_point(grid, [1e-3 * grid.spacing, 2e-3 * grid.spacing]) is None
+    paths = _paths(monkeypatch)
+    _, result = _solve(f, 2, 0.2)
+    assert paths
+    assert result.residual <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       delta=st.sampled_from([0.02, 0.1, 0.3]), gain=st.floats(0.3, 4.0),
+       alpha=st.sampled_from([0.3, 0.05, 0.01]),
+       shift=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+def test_a_direct_solution_is_a_fixed_point_in_the_simplex_of_c(seed, dim, delta, gain, alpha,
+                                                                 shift):
+    # start points within a cell or so of a fixed point of F, so that the
+    # simplex of c often holds one
+    f = quantized_map(np.random.default_rng(seed), dim, delta, gain, gain)
+    grid = build_sample_grid(f, dim, alpha, max_points=10**9)
+    s = grid.spacing
+    c = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid).y + s * np.array(shift[:dim])
+    c = (c / max(1.0, float(np.linalg.norm(c)))).tolist()
+    y = _kuhn_fixed_point(grid, c)
+    if y is None:
+        return
+    vertices, axes, _ = _kuhn_simplex([x / s for x in c])
+    # y/s lies in the simplex: 1 >= g_(axes[0]) >= ... >= g_(axes[-1]) >= 0
+    # for its offsets g from the base vertex
+    g = [1.0] + [y[a] / s - vertices[0][a] for a in axes] + [0.0]
+    assert all(a >= b - 1e-9 for a, b in zip(g, g[1:])), (c, y)
+    assert float(np.linalg.norm(averaged_map_eval(y, grid) - np.array(y))) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", range(1, 11))
