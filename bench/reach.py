@@ -3,6 +3,7 @@
 and at what cost.
 
     python bench/reach.py --repeats 3 --out BENCH_pipeline.json
+    python bench/reach.py --repeats 1 --check BENCH_pipeline.json
 
 Cases: the 1-D step map at eps' = 0.51 and 0.55, and the extremal map in
 dims 1-10 at gaps eps' - eps/R_n of 0.05, 0.01, 0.002, 1e-4 and 1e-6, all
@@ -12,11 +13,18 @@ gains 0.5-0.9) at the same five gaps, whose coarse levels are flat.  Each
 case runs `run_pipeline` --repeats times and records its outcome: `ok` (a
 fresh f(z) is displaced by less than eps'), `wrong` (it is not), or the
 cause the pipeline declined with (`budget`,
-`no_convergence`, `certificate`, `domain`).  For each case the median
-wall time is kept, with the points at which f was evaluated (`f_evals`:
-batch rows plus single calls, the pipeline's own recheck of f(z)
-included) and the samples touched, the pivots and alpha of a certificate.
-Exits 1 if any case is `wrong`; any other exception propagates.
+`no_convergence`, `certificate`, `domain`, `solver`).  For each case the
+median wall time is kept, with the points at which f was evaluated
+(`f_evals`: batch rows plus single calls, the pipeline's own recheck of
+f(z) included) and the samples touched, the pivots and alpha of a
+certificate.  Exits 1 if any case is `wrong`; any other exception
+propagates.
+
+With --check COMMITTED.json the fresh rows are also compared with a
+committed report, and the run exits 1 when a case's outcome changes, its
+f_evals or a certificate's pivots grow, or an `ok` case's alpha or
+displacement moves (the path draws nothing, so all of these are exact on
+every run).  The report is then written only where --out says.
 """
 
 from __future__ import annotations
@@ -42,33 +50,19 @@ from ballfix.errors import (  # noqa: E402
     CertificateError,
     DomainError,
     NoConvergenceError,
+    SolverError,
 )
 from ballfix.geometry import jung_radius  # noqa: E402
 from ballfix.maps import ExtremalMap, StepMap1D  # noqa: E402
 from ballfix.pipeline import run_pipeline  # noqa: E402
 from perfbench.inputs import quantized_map  # noqa: E402
+from perfbench.spans import CountingMap  # noqa: E402
 
 GAPS = (0.05, 0.01, 0.002, 1e-4, 1e-6)
 # DomainError: the map or the bound is outside what the pipeline accepts.
 DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergence"),
-            (CertificateError, "certificate"), (DomainError, "domain"))
-
-
-class CountingMap:
-    """Forwards `eps`, `dim`, `batch` and `__call__` of a map, counting the
-    points evaluated: batch rows plus single calls."""
-
-    def __init__(self, f):
-        self.f, self.eps, self.dim, self.evals = f, f.eps, f.dim, 0
-
-    def batch(self, xs):
-        values = self.f.batch(xs)
-        self.evals += len(values)
-        return values
-
-    def __call__(self, x):
-        self.evals += 1
-        return self.f(x)
+            (CertificateError, "certificate"), (DomainError, "domain"),
+            (SolverError, "solver"))
 
 
 def cases():
@@ -93,14 +87,14 @@ def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:
     except tuple(error for error, _ in DECLINED) as exc:
         seconds = time.perf_counter() - start
         cause = next(name for error, name in DECLINED if isinstance(exc, error))
-        return {"outcome": cause, "f_evals": counted.evals}, seconds
+        return {"outcome": cause, "f_evals": counted.f_evals}, seconds
     seconds = time.perf_counter() - start
     z = run.certificate.z
     displacement = float(np.linalg.norm(np.asarray(f(z), dtype=float) - z))
     return {
         "outcome": "ok" if displacement < eps_prime else "wrong",
         "displacement": displacement,
-        "f_evals": counted.evals,
+        "f_evals": counted.f_evals,
         "grid_points": len(run.grid),
         "pivots": run.fixed_point.pivots,
         "alpha": run.params.alpha,
@@ -121,13 +115,37 @@ def measure(repeats: int) -> list[dict]:
     return rows
 
 
+def check(rows: list[dict], committed: list[dict]) -> list[str]:
+    """Each way the fresh rows depart from the committed ones."""
+    fresh, committed = ({row["case"]: row for row in table} for table in (rows, committed))
+    problems = [f"{case}: outcome committed {committed.get(case, {}).get('outcome')}, "
+                f"fresh {fresh.get(case, {}).get('outcome')}"
+                for case in sorted(fresh.keys() | committed.keys())
+                if fresh.get(case, {}).get("outcome") != committed.get(case, {}).get("outcome")]
+    for case in sorted(fresh.keys() & committed.keys()):
+        old, new = committed[case], fresh[case]
+        # pivots are recorded for certificates only
+        problems += [f"{case}: {key} committed {old[key]}, fresh {new.get(key)}"
+                     for key in ("f_evals", "pivots") if key in old and new.get(key, 0) > old[key]]
+        if old["outcome"] == "ok":
+            problems += [f"{case}: {key} committed {old[key]!r}, fresh {new.get(key)!r}"
+                         for key in ("alpha", "displacement") if new.get(key) != old[key]]
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_pipeline.json"))
+    parser.add_argument("--out", default=None,
+                        help="report path (default BENCH_pipeline.json, none with --check)")
+    parser.add_argument("--check", default=None, metavar="COMMITTED.json",
+                        help="fail when the fresh rows depart from this report")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    committed = None if args.check is None else json.loads(Path(args.check).read_text())["cases"]
+    if args.out is None and committed is None:
+        args.out = str(ROOT / "BENCH_pipeline.json")
     rows = measure(args.repeats)
     report = {
         "environment": {
@@ -140,11 +158,15 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "cases": rows,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     wrong = [row["case"] for row in rows if row["outcome"] == "wrong"]
     if wrong:
         print(f"wrong certificates: {', '.join(wrong)}", file=sys.stderr)
-    return 1 if wrong else 0
+    problems = [] if committed is None else check(rows, committed)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if wrong or problems else 0
 
 
 if __name__ == "__main__":

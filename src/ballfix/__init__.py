@@ -17,6 +17,7 @@ from .errors import (
     InvalidCombinationError,
     InvalidDimensionError,
     NoConvergenceError,
+    SolverError,
 )
 from .geometry import (
     TOL_GEOM,

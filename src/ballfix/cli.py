@@ -27,6 +27,7 @@ from .errors import (
     InvalidCombinationError,
     InvalidDimensionError,
     NoConvergenceError,
+    SolverError,
 )
 from .geometry import jung_radius
 
@@ -38,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
+EXIT_SOLVER = 6
 
 _SVG_SIZE = 512
 _SVG_RADIUS = 240.0
@@ -197,14 +199,7 @@ def cmd_pipeline(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "report": "pipeline",
         "map": args.map if args.map_file is None else "sampled-file",
-        "params": {
-            "dim": run.params.dim,
-            "eps": run.params.eps,
-            "eps_prime": run.params.eps_prime,
-            "gamma": run.params.gamma,
-            "alpha": run.params.alpha,
-            "fp_tol": run.params.fp_tol,
-        },
+        "params": asdict(run.params),
         "grid_points": len(run.grid),
         "certificate": {
             "z": cert.z,
@@ -213,7 +208,7 @@ def cmd_pipeline(args) -> int:
             "bound": cert.bound,
             "fixed_point": cert.trace.y,
             "residual": cert.trace.residual,
-            "support_index": cert.trace.support_index,
+            "support_index": cert.support_index,
             "jung_term": cert.jung_term,
             "anchor_term": cert.anchor_term,
         },
@@ -391,6 +386,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -58,3 +58,8 @@ class CertificateError(BallfixError, RuntimeError):
     """A certificate inequality failed at the fixed point found, typically
     the Jung term: the support there maps to too wide a set at this alpha.
     run_pipeline answers it by halving alpha."""
+
+
+class SolverError(BallfixError, RuntimeError):
+    """The fixed-point solver returned a point whose residual exceeds
+    fp_tol: a fault of the solver, not of the input."""

@@ -13,7 +13,8 @@ combination of the values at the vertices of one simplex, all within
 alpha/2 of y, so by Jung's theorem
 some sample there is displaced by less than the requested bound; the
 triangle-inequality chain certifying this is returned as a checkable
-certificate.  f is evaluated only at the vertices the path touches.
+certificate, which carries the fixed point it came from.  f is evaluated
+only at the vertices the path touches.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     HypothesisError,
     InvalidDimensionError,
     NoConvergenceError,
+    SolverError,
 )
 from .geometry import (
     TOL_GEOM,
@@ -143,8 +145,6 @@ class SampleGrid:
             raise DomainError(f"alpha must be positive, got {alpha}")
         if max_points < 1:
             raise DomainError(f"grid budget must be at least 1, got {max_points}")
-        if max_points > np.iinfo(np.int64).max:
-            raise DomainError(f"grid budget {max_points} overflows the int64 lattice indices")
         spacing = alpha / math.sqrt(dim) / 2.0
         half_count = int(math.ceil(1.0 / spacing))
         per_axis = 2 * half_count + 1
@@ -166,22 +166,15 @@ class SampleGrid:
         self._slots: dict[tuple[int, ...], int] = {}
         self._point_rows: list[list[float]] = []  # by slot
         self._rows: list[list[float]] = []  # the value rows, by slot
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None  # until the next touch
         self._embedded: tuple[tuple[float, ...] | None, EmbeddedPoint | None] = (None, None)
-
-    def _as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            self._arrays = tuple(np.array(rows, dtype=float).reshape(-1, self.dim)
-                                 for rows in (self._point_rows, self._rows))
-        return self._arrays
 
     @property
     def points(self) -> np.ndarray:
-        return self._as_arrays()[0]
+        return np.array(self._point_rows, dtype=float).reshape(-1, self.dim)
 
     @property
     def values(self) -> np.ndarray:
-        return self._as_arrays()[1]
+        return np.array(self._rows, dtype=float).reshape(-1, self.dim)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -205,7 +198,6 @@ class SampleGrid:
                 slots[i] = self._slots[keys[i]] = slot
             self._point_rows += pts.tolist()
             self._rows += values
-            self._arrays = None
         return np.array(slots)
 
     def value(self, key: tuple[int, ...]) -> list[float]:
@@ -260,29 +252,23 @@ class RipsEdgeViolation:
 
 
 @dataclass(frozen=True)
-class CertificateTrace:
-    """Where the certificate came from: the fixed point of the averaged map,
-    its residual, and the index of the certified sample in the grid."""
-
-    y: np.ndarray
-    residual: float
-    support_index: int
-
-
-@dataclass(frozen=True)
 class EpsFixedPointCertificate:
     """A sample z displaced by less than the requested bound, with the
     terms of the triangle-inequality chain that prove it:
 
         ||f(z) - z|| <= jung_term + residual + anchor_term
                      <= (eps+gamma)/R + fp_tol + alpha/2 < eps_prime.
+
+    trace is the fixed point of the averaged map it came from, and
+    support_index the grid slot of z.
     """
 
     z: np.ndarray
     fz: np.ndarray
     displacement: float
     bound: float
-    trace: CertificateTrace
+    trace: FixedPointResult
+    support_index: int
     jung_term: float = 0.0
     anchor_term: float = 0.0
 
@@ -300,8 +286,8 @@ def build_sample_grid(f, dim: int, alpha: float,
 def _kuhn_simplex(u: list[float]) -> tuple[list[tuple[int, ...]], list[int], list[float]]:
     """The Kuhn simplex holding the point u of lattice coordinates: its
     vertices, from the base floor(u) one unit step along each axis in
-    decreasing order of the fractional parts of u; those axes; and the
-    fractional parts, in that order."""
+    decreasing order of the fractional parts f of u; those axes; and the
+    barycentric weights of u, 1 - f_(1), f_(1) - f_(2), ..., f_(n)."""
     vertex = [math.floor(x) for x in u]
     frac = [x - k for x, k in zip(u, vertex)]
     axes = sorted(range(len(u)), key=lambda i: -frac[i])
@@ -309,15 +295,15 @@ def _kuhn_simplex(u: list[float]) -> tuple[list[tuple[int, ...]], list[int], lis
     for axis in axes:
         vertex[axis] += 1
         vertices.append(tuple(vertex))
-    return vertices, axes, [frac[i] for i in axes]
+    descending = [1.0] + [frac[i] for i in axes] + [0.0]
+    return vertices, axes, [a - b for a, b in zip(descending, descending[1:])]
 
 
 def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     """Barycentric embedding of y into the Kuhn triangulation of the grid.
 
-    The simplex holding u = y/s (_kuhn_simplex) has the weights
-    1 - f_(1), f_(1) - f_(2), ..., f_(n), f the decreasing fractional
-    parts of u.  Vertices of weight 0 are dropped,
+    The simplex holding u = y/s and the barycentric weights of u there come
+    from _kuhn_simplex.  Vertices of weight 0 are dropped,
     so the embedding is continuous in y.  The grid keeps the last
     embedding, which the certificate reuses for the fixed point.
     """
@@ -328,14 +314,10 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
         raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
     if math.hypot(*y) > 1.0 + TOL_GEOM:
         raise DomainError("embedding is defined on the unit ball only")
-    vertices, _, frac = _kuhn_simplex([x / grid.spacing for x in y])
-    descending = [1.0] + frac + [0.0]
-    keys, weights = [], []
-    for j, vertex in enumerate(vertices):
-        if descending[j] > descending[j + 1]:
-            keys.append(vertex)
-            weights.append(descending[j] - descending[j + 1])
-    support = grid.touch(keys)
+    vertices, _, weights = _kuhn_simplex([x / grid.spacing for x in y])
+    kept = [j for j, w in enumerate(weights) if w > 0.0]
+    support = grid.touch([vertices[j] for j in kept])
+    weights = [weights[j] for j in kept]
     points = np.array([grid._point_rows[k] for k in support.tolist()])
     emb = EmbeddedPoint(support=support, points=points, weights=np.array(weights))
     grid._embedded = (y, emb)
@@ -485,14 +467,13 @@ def _linear_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
     return x
 
 
-def _start_inverse(frac: list[float], axes: list[int], h: float) -> list[list[float]]:
+def _start_inverse(weights: list[float], axes: list[int], h: float) -> list[list[float]]:
     """The inverse of the basis [1; c - h x_k] of the Kuhn simplex of c
-    (x_k = x_(k-1) + e_(axes[k-1]), `frac` the decreasing fractional parts
-    of c/h along `axes`): the barycentric map, whose first column holds
-    the differences of 1, frac and 0, and whose other entries are 0, +-1/h."""
+    (x_k = x_(k-1) + e_(axes[k-1]), `weights` the barycentric weights of
+    c/h there): the barycentric map, whose first column holds the weights,
+    and whose other entries are 0, +-1/h."""
     n = len(axes)
-    descending = [1.0] + frac + [0.0]
-    inverse = [[descending[k] - descending[k + 1]] + [0.0] * n for k in range(n + 1)]
+    inverse = [[w] + [0.0] * n for w in weights]
     for k, axis in enumerate(axes):
         inverse[k][1 + axis], inverse[k + 1][1 + axis] = 1.0 / h, -1.0 / h
     return inverse
@@ -518,7 +499,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     n, h = grid.dim, step * grid.spacing
     # The slab simplex over the Kuhn simplex of c: its space axes, then
     # time (axis n).
-    vertices, axes, frac = _kuhn_simplex([x / h for x in c])
+    vertices, axes, weights = _kuhn_simplex([x / h for x in c])
     perm = axes + [n]
     unit = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
     verts = [v + (0,) for v in vertices] + [vertices[-1] + (1,)]
@@ -529,12 +510,11 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
         top = grid.value(tuple(step * x for x in v[:n])) if v[n] else c
         return [1.0] + [t - h * x for t, x in zip(top, v[:n])]
 
-    # The basis: its [1; label] columns, their inverse (row r for column r),
+    # The basis: the inverse of its [1; label] columns (row r for column r),
     # and the space part and level of the vertex behind each column; row_of
     # maps simplex positions to columns (-1 for the vertex about to enter).
     # Small dense algebra in plain Python: cheaper than numpy calls here.
-    columns = [column(v) for v in verts[:n + 1]]
-    inverse = _start_inverse(frac, axes, h)
+    inverse = _start_inverse(weights, axes, h)
     space = [v[:n] for v in verts[:n + 1]]
     level = [0] * (n + 1)
     row_of = list(range(n + 1)) + [-1]
@@ -558,9 +538,10 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
         pivot_row = [x / d[r] for x in inverse[r]]
         inverse = [[x - di * p for x, p in zip(row, pivot_row)] for row, di in zip(inverse, d)]
         inverse[r] = pivot_row
-        columns[r], space[r], level[r] = a, verts[enter][:n], verts[enter][n]
+        space[r], level[r] = verts[enter][:n], verts[enter][n]
         if pivots % _REFACTOR_EVERY == 0:
-            inverse = np.linalg.inv(np.array(columns).T).tolist()
+            basis = [column(x + (k,)) for x, k in zip(space, level)]
+            inverse = np.linalg.inv(np.array(basis).T).tolist()
         # The facet's zero is at time sum(weights at level 1): at time 1, up
         # to rounding, it is a fixed point.  Degenerate maps (values on
         # lattice faces) get there before the whole facet reaches level 1.
@@ -602,10 +583,11 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     eps+gamma.  With ||F(y) - y|| <= fp_tol and the sample within alpha/2
     of y, the triangle inequality certifies the displacement.  Both checks
     are exact, with no slack: the Jung term against its bound, the sample's
-    displacement against eps_prime.
+    displacement against eps_prime.  A residual above fp_tol is a
+    SolverError: the solver returned a point that is not a fixed point.
     """
     if fp.residual > params.fp_tol:
-        raise DomainError(
+        raise SolverError(
             f"residual {fp.residual} exceeds fp_tol={params.fp_tol}; not a usable fixed point")
     emb = embed(fp.y, grid)
     weights, support = emb.weights.tolist(), emb.support.tolist()
@@ -630,7 +612,8 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
         fz=np.array(fz),
         displacement=displacement,
         bound=params.eps_prime,
-        trace=CertificateTrace(y=fp.y, residual=fp.residual, support_index=i),
+        trace=fp,
+        support_index=i,
         jung_term=jung_term,
         anchor_term=anchor_term,
     )

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -9,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballfix import oracle
+from ballfix import oracle, pipeline
 from ballfix.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
     EXIT_HYPOTHESIS,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_USAGE,
     _dumps,
     dump_sampled_map,
@@ -212,6 +216,18 @@ def test_a_path_that_reaches_its_slab_top_certifies(capsys):
     assert report["displacement_recheck"] < eps_prime
 
 
+def test_a_residual_above_fp_tol_is_a_solver_error(monkeypatch, capsys):
+    # a point the solver returns that is not a fixed point is the solver's
+    # fault: exit 6, not the validation error of exit 2
+    monkeypatch.setattr(pipeline, "find_fixed_point",
+                        lambda F, grid: pipeline.FixedPointResult(np.zeros(2), 1.0))
+    assert run_cli("pipeline", "--map", "extremal", "--n", "2", "--eps", "1",
+                   "--eps-prime", "0.62") == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: residual 1.0 exceeds fp_tol=")
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"),
@@ -384,13 +400,54 @@ def test_figure_io_error():
 # --- determinism and round-trips ------------------------------------------------
 
 
-@pytest.mark.parametrize("argv", [
+DETERMINISM_ARGV = [
     ("radius", "--n", "4"),
     ("extremal", "--n", "2", "--eps", "1", "--resolution", "101"),
     ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55"),
     ("verify", "--n", "1", "--eps", "1", "--resolution", "101", "--trials", "100"),
     ("figure", "--eps", "1"),
-])
+]
+
+# Exit code and stdout sha256 of each of these, recorded in cli_outputs.json
+# (MAP_FILE stands for the 1-D step map sampled at spacing 0.01).
+# `PYTHONPATH=src python tests/test_cli.py` rewrites them, for an output
+# change recorded in docs/schemas.md only.
+CLI_OUTPUTS = Path(__file__).with_name("cli_outputs.json")
+PINNED_ARGV = DETERMINISM_ARGV + [
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.51"),
+    ("pipeline", "--map", "extremal", "--n", "2", "--eps", "1", "--eps-prime", "0.62"),
+    ("pipeline", "--map", "extremal", "--n", "3", "--eps", "1", "--eps-prime", "0.80"),
+    ("pipeline", "--map", "constant", "--n", "2", "--eps", "1", "--eps-prime", "0.8",
+     "--value", "0.3,0.2"),
+    ("pipeline", "--map", "identity", "--n", "3", "--eps", "1", "--eps-prime", "0.8"),
+    ("pipeline", "--map", "extremal", "--n", "2", "--eps", "1",
+     "--eps-prime", "0.5773512691896259", "--budget", str(10**15)),
+    ("pipeline", "--map-file", "MAP_FILE", "--eps-prime", "0.6"),
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.4"),
+    ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.5001", "--budget", "1000"),
+]
+
+
+def pinned_outputs(directory: Path) -> dict:
+    """{argv: {"exit": code, "stdout_sha256": digest}} of PINNED_ARGV."""
+    map_file = directory / "step.json"
+    dump_sampled_map(sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0), str(map_file))
+    outputs = {}
+    for argv in PINNED_ARGV:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(*[str(map_file) if a == "MAP_FILE" else a for a in argv],
+                           "--out", "-")
+        outputs[" ".join(argv)] = {
+            "exit": code, "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    return outputs
+
+
+def test_outputs_match_the_recorded_bytes(tmp_path):
+    assert pinned_outputs(tmp_path) == json.loads(CLI_OUTPUTS.read_text())
+
+
+@pytest.mark.parametrize("argv", DETERMINISM_ARGV)
 def test_outputs_byte_identical_across_runs(tmp_path, argv):
     first = tmp_path / "first.out"
     second = tmp_path / "second.out"
@@ -452,3 +509,10 @@ def test_json_reports_roundtrip_exactly(tmp_path):
     text = out.read_text()
     reparsed = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert reparsed == text
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        CLI_OUTPUTS.write_text(json.dumps(pinned_outputs(Path(directory)), indent=1) + "\n")

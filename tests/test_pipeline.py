@@ -11,6 +11,7 @@ from ballfix.errors import (
     HypothesisError,
     InvalidDimensionError,
     NoConvergenceError,
+    SolverError,
 )
 from ballfix.geometry import TOL_GEOM, TOL_WEIGHTS, jung_radius, random_ball_points
 from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, SampledMap, StepMap1D
@@ -87,8 +88,8 @@ def test_build_sample_grid_budget_error():
     with pytest.raises(BudgetExceededError) as err:
         build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 1e-6)
     assert err.value.min_feasible_alpha > 1e-6
-    with pytest.raises(DomainError):  # lattice keys are int64
-        build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=2**63)
+    # lattice keys are Python ints: a budget past int64 builds the grid
+    assert len(build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=2**63)) == 0
     for budget in (0, -5):  # a negative budget once took a complex root here
         with pytest.raises(DomainError, match="grid budget must be at least 1"):
             build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=budget)
@@ -318,13 +319,16 @@ def test_extract_certificate_constant_map():
 
 
 def test_extract_certificate_requires_converged_residual():
+    # a residual above fp_tol is the solver's fault, not a validation error
     params = PipelineParams(dim=2, eps=1.0, eps_prime=0.7, gamma=0.1,
                             alpha=0.05, fp_tol=1e-9)
     grid = build_sample_grid(ConstantMap(np.zeros(2)), 2, params.alpha)
     from ballfix.pipeline import FixedPointResult
 
-    with pytest.raises(DomainError):
-        extract_certificate(FixedPointResult(np.zeros(2), residual=0.5), grid, params)
+    with pytest.raises(SolverError, match="exceeds fp_tol") as err:
+        extract_certificate(FixedPointResult(np.zeros(2), residual=1.0), grid, params)
+    assert not isinstance(err.value, ValueError)
+    assert len(grid) == 0
 
 
 def test_step_map_certificate_matches_analysis():
@@ -357,6 +361,11 @@ def test_run_pipeline_certificate_chain_terms():
     assert cert.anchor_term <= params.alpha / 2.0 + TOL_GEOM
     assert cert.trace.residual <= params.fp_tol
     assert cert.displacement <= cert.jung_term + cert.trace.residual + cert.anchor_term + TOL_GEOM
+    # the certificate carries the run's own fixed point, and z is the
+    # sample at support_index
+    assert cert.trace is run.fixed_point
+    np.testing.assert_array_equal(run.grid.points[cert.support_index], cert.z)
+    np.testing.assert_array_equal(run.grid.values[cert.support_index], cert.fz)
     # independent re-evaluation, not grid internals
     f = StepMap1D(1.0)
     assert abs(f(float(cert.z[0])) - cert.fz[0]) <= TOL_GEOM

@@ -75,7 +75,7 @@ def certificate_record(f, dim, eps_prime):
     return {"z": [x.hex() for x in cert.z.tolist()],
             "y": [x.hex() for x in cert.trace.y.tolist()],
             "residual": cert.trace.residual.hex(),
-            "support_index": cert.trace.support_index,
+            "support_index": cert.support_index,
             "pivots": run.fixed_point.pivots,
             "grid_points": len(run.grid)}
 
@@ -263,6 +263,16 @@ def test_a_path_ends_at_the_top_of_its_slab(monkeypatch):
     assert paths[-1] == 1
 
 
+def test_a_grid_whose_cube_overflows_int64_solves():
+    # the cube of this 10-D grid has 255^10 (about 1.2e24) vertices, past
+    # int64; lattice keys are Python ints, so a budget that large is usable
+    grid = build_sample_grid(ExtremalMap(dim=10, eps=1.0), 10, 0.05, max_points=10**40)
+    result = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid)
+    assert result.residual <= 1e-12
+    assert result.pivots <= 400
+    assert len(grid) <= 400
+
+
 def _levels(monkeypatch, f, dim, alpha, direct=True):
     """The spacings, in grid cells, of the levels find_fixed_point runs."""
     steps = _paths(monkeypatch, direct)
@@ -393,7 +403,9 @@ def test_closed_form_start_inverse_matches_numpy(dim):
                 vertices[-1][axis] += 1
             basis = np.array([[1.0] + [t - h * x for t, x in zip(c, v)] for v in vertices]).T
             expected = np.linalg.inv(basis)
-            inverse = np.array(_start_inverse([u[i] - base[i] for i in axes], axes, h))
+            _, kuhn_axes, weights = _kuhn_simplex(u)
+            assert kuhn_axes == axes
+            inverse = np.array(_start_inverse(weights, axes, h))
             assert np.abs(inverse[:, 0] - expected[:, 0]).max() <= 1e-9, (h, c)
             assert np.abs(inverse[:, 1:] - expected[:, 1:]).max() <= 1e-9 / h, (h, c)
 
