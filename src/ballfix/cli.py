@@ -29,7 +29,7 @@ from .errors import (
     NoConvergenceError,
     SolverError,
 )
-from .geometry import jung_radius
+from .geometry import check_eps, jung_radius
 
 SCHEMA_VERSION = 1
 
@@ -78,15 +78,14 @@ def load_sampled_map(path: str) -> maps.SampledMap:
         points = np.asarray(raw["points"], dtype=float)
         values = np.asarray(raw["values"], dtype=float)
         covering_radius = float(raw["covering_radius"])
-        eps = raw.get("eps")
+        eps = None if raw.get("eps") is None else float(raw["eps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sampled-map file {path}: {exc}") from exc
     if points.ndim != 2 or points.shape[1] != dim or values.shape != points.shape:
         raise DomainError(
             f"malformed sampled-map file {path}: points/values must be parallel "
             f"(m, {dim}) arrays")
-    return maps.SampledMap(points, values, covering_radius=covering_radius,
-                           eps=None if eps is None else float(eps))
+    return maps.SampledMap(points, values, covering_radius=covering_radius, eps=eps)
 
 
 def dump_sampled_map(m: maps.SampledMap, path: str) -> None:
@@ -107,7 +106,7 @@ def dump_sampled_map(m: maps.SampledMap, path: str) -> None:
 def cmd_radius(args) -> int:
     if args.n < 1:
         raise InvalidDimensionError(f"--n must be at least 1, got {args.n}")
-    maps._check_eps(args.eps)
+    check_eps(args.eps)
     rows = [
         {"n": k, "jung_radius": jung_radius(k), "bound": args.eps / jung_radius(k)}
         for k in range(1, args.n + 1)

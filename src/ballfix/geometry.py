@@ -15,12 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCombinationError, InvalidDimensionError
+from .errors import DomainError, InvalidCombinationError, InvalidDimensionError
 
 # Tolerance for geometric identities (double precision leaves ~6 digits of
 # headroom at desk scale) and for convex-weight normalization.
 TOL_GEOM = 1e-9
 TOL_WEIGHTS = 1e-12
+
+# Every self-map of the ball has image diameter at most 2, so discontinuity
+# scales outside (0, 2] are caller mistakes and are rejected, not clamped.
+EPS_MAX = 2.0
 
 __all__ = [
     "TOL_GEOM",
@@ -32,6 +36,7 @@ __all__ = [
     "as_vector",
     "ball_lattice",
     "check_dim",
+    "check_eps",
     "check_weights",
     "cube_lattice",
     "diameter",
@@ -50,6 +55,14 @@ def check_dim(n) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
     return int(n)
+
+
+def check_eps(eps) -> float:
+    """The discontinuity scale as a float; rejects anything outside (0, 2]."""
+    eps = float(eps)
+    if not (0.0 < eps <= EPS_MAX):
+        raise DomainError(f"discontinuity scale must lie in (0, {EPS_MAX}], got {eps}")
+    return eps
 
 
 def as_vector(coords) -> np.ndarray:

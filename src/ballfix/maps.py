@@ -23,16 +23,13 @@ from .geometry import (
     as_vector,
     ball_lattice,
     check_dim,
+    check_eps,
     cube_lattice,
     jung_radius,
     pairwise_diameter,
     random_ball_points,
     regular_simplex_vertices,
 )
-
-# Every self-map of the ball has image diameter at most 2, so discontinuity
-# scales outside (0, 2] are caller mistakes and are rejected, not clamped.
-EPS_MAX = 2.0
 
 _TIE_TOL_SQ = 1e-12  # absolute tolerance on squared distances for Voronoi ties
 
@@ -52,13 +49,6 @@ __all__ = [
 ]
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (0.0 < eps <= EPS_MAX):
-        raise DomainError(f"discontinuity scale must lie in (0, {EPS_MAX}], got {eps}")
-    return eps
-
-
 def _check_in_ball(x: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
     norm = float(np.linalg.norm(x))
     if norm > 1.0 + tol:
@@ -75,7 +65,7 @@ class StepMap1D:
     eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _check_eps(self.eps))
+        object.__setattr__(self, "eps", check_eps(self.eps))
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -125,7 +115,7 @@ class ExtremalMap:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_dim(self.dim))
-        object.__setattr__(self, "eps", _check_eps(self.eps))
+        object.__setattr__(self, "eps", check_eps(self.eps))
         object.__setattr__(self, "vertices", regular_simplex_vertices(self.dim))
 
     @property
@@ -224,13 +214,13 @@ class SampledMap:
             raise DomainError("some sample point lies outside the unit ball")
         if float(np.linalg.norm(vals, axis=1).max()) > 1.0 + TOL_GEOM:
             raise DomainError("some sample value lies outside the unit ball")
-        if self.covering_radius < 0:
-            raise ValueError("covering radius must be nonnegative")
+        if not self.covering_radius >= 0:  # NaN too
+            raise ValueError(f"covering radius must be nonnegative, got {self.covering_radius}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "covering_radius", float(self.covering_radius))
         if self.eps is not None:
-            object.__setattr__(self, "eps", _check_eps(self.eps))
+            object.__setattr__(self, "eps", check_eps(self.eps))
 
     @property
     def dim(self) -> int:

@@ -41,6 +41,7 @@ from .geometry import (
     as_vector,
     ball_lattice,
     check_dim,
+    check_eps,
     cube_lattice,
     check_weights,
     jung_radius,
@@ -68,10 +69,11 @@ __all__ = [
 
 
 def _check_hypothesis(dim: int, eps: float, eps_prime: float) -> float:
-    """jung_radius(dim), once eps is in (0, 2] and eps_prime above eps/R."""
+    """jung_radius(dim), once eps is in (0, 2] and eps_prime finite, above eps/R."""
     radius = jung_radius(dim)
-    if not (0.0 < eps <= 2.0):
-        raise DomainError(f"eps must lie in (0, 2], got {eps}")
+    check_eps(eps)
+    if not math.isfinite(eps_prime):
+        raise DomainError(f"eps_prime must be finite, got {eps_prime}")
     if eps_prime <= eps / radius:
         raise HypothesisError(
             f"eps_prime={eps_prime} must exceed eps/jung_radius(dim)={eps / radius}")
@@ -374,19 +376,18 @@ def find_fixed_point(F, grid: SampleGrid,
     2^(L-4) s, ... down to s, each started next to the fixed point of the
     level before: a path's length grows with the distance from its start
     to the fixed point in cells, so every level takes a few pivots where
-    one path at spacing s would cross up to 1/s cells.  After a flat level
-    (its fixed point is the one value v of its weighted level-1 vertices,
-    hence v at every spacing) the next level, unless last, is dropped.
-    The coarse lattices are sublattices of the grid's, so their samples
-    are grid samples.
+    one path at spacing s would cross up to 1/s cells.  The coarse
+    lattices are sublattices of the grid's, so their samples are grid
+    samples.
 
-    Before any path, and again after each flat level but the last, the
-    grid's own Kuhn simplex at the next start (the origin, then v) is
-    solved directly (_kuhn_fixed_point): F is affine there, and when that
-    simplex holds a fixed point it is the result, with no pivots counted
-    and no level left to run.  NoConvergenceError means only that
-    max_pivots, counted over all levels, ran out.  F is called for the
-    residual.
+    Before any path, and again after each flat level but the last (its
+    fixed point is the one value v of its weighted level-1 vertices, hence
+    v at every spacing), the grid's own Kuhn simplex at the next start (the
+    origin, then v) is solved directly (_kuhn_fixed_point): F is affine
+    there, and when that simplex holds a fixed point it is the result, with
+    no pivots counted and no level left to run.  NoConvergenceError means
+    only that max_pivots, counted over all levels, ran out.  F is called
+    for the residual.
     """
     n, s = grid.dim, grid.spacing
     # Distinct irrational fractional parts keep each start facet nondegenerate.
@@ -404,15 +405,11 @@ def find_fixed_point(F, grid: SampleGrid,
     pending = sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
     y, pivots, reached = [0.0] * n, 0, True
     direct = _kuhn_fixed_point(grid, start(y, 1))
-    while pending and direct is None:
+    while pending and direct is None and reached:
         step = pending.pop()
         y, used, reached, flat = _merrill_path(grid, step, start(y, step), max_pivots - pivots)
         pivots += used
-        if not reached:
-            break
-        if flat and pending:
-            if len(pending) > 1:
-                pending.pop()
+        if reached and flat and pending:
             direct = _kuhn_fixed_point(grid, start(y, 1))
     y = np.array(y if direct is None else direct)
     residual = float(np.linalg.norm(F(y) - y))
@@ -431,40 +428,22 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
     [1 ... 1; v_k - s x_k] lambda = e_0 over the simplex's vertices s x_k
     and their values v_k, the system of Merrill's final basis; y lies in
     the simplex when the system is nonsingular and every lambda_k >= 0.
-    f is evaluated at the vertices in one batch."""
+    f is evaluated at the vertices in one batch.  numpy's LAPACK solves the
+    system, as it inverts the path's basis at each refactorization, so the
+    last bits of y are numpy's, like those of averaged_map_eval's product."""
     s = grid.spacing
     vertices, _, _ = _kuhn_simplex([x / s for x in c])
     values = [grid._rows[k] for k in grid.touch(vertices).tolist()]
-    labels = [[value[i] - s * v[i] for value, v in zip(values, vertices)]
-              for i in range(grid.dim)]
-    weights = _linear_solve([[1.0] * len(vertices)] + labels, [1.0] + [0.0] * grid.dim)
-    if weights is None or not all(w >= 0.0 for w in weights):
+    columns = [[1.0] + [t - s * x for t, x in zip(value, v)] for value, v in zip(values, vertices)]
+    try:
+        weights = np.linalg.solve(np.array(columns).T, [1.0] + [0.0] * grid.dim).tolist()
+    except np.linalg.LinAlgError:  # singular: no unique fixed point here
+        return None
+    if not all(w >= 0.0 for w in weights):
         return None
     total = sum(weights)
     return [s * sum(w * v[i] for w, v in zip(weights, vertices)) / total
             for i in range(grid.dim)]
-
-
-def _linear_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
-    """x with a x = b, by Gaussian elimination with partial pivoting, or
-    None when a is singular.  Plain Python: cheaper than numpy calls at
-    these sizes."""
-    m = len(b)
-    rows = [row + [bi] for row, bi in zip(a, b)]
-    for k in range(m):
-        p = max(range(k, m), key=lambda i: abs(rows[i][k]))
-        if rows[p][k] == 0.0:
-            return None
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for row in rows[k + 1:]:
-            factor = row[k] / pivot[k]
-            row[k:] = [x - factor * y for x, y in zip(row[k:], pivot[k:])]
-    x = [0.0] * m
-    for k in reversed(range(m)):
-        row = rows[k]
-        x[k] = (row[m] - sum(row[j] * x[j] for j in range(k + 1, m))) / row[k]
-    return x
 
 
 def _start_inverse(weights: list[float], axes: list[int], h: float) -> list[list[float]]:

@@ -147,6 +147,38 @@ def test_pipeline_malformed_map_file(tmp_path):
                    "--eps-prime", "0.6") == EXIT_USAGE
 
 
+def _step_map_record(**changes) -> dict:
+    """The sampled-map record of the 1-D step map at spacing 0.5, changed."""
+    return {"schema_version": 1, "dim": 1, "eps": 1.0, "covering_radius": 0.25,
+            "points": [[-1.0], [-0.5], [0.0], [0.5], [1.0]],
+            "values": [[0.5], [0.5], [0.5], [-0.5], [-0.5]], **changes}
+
+
+def test_pipeline_rejects_a_map_file_with_a_nan_covering_radius(tmp_path, capsys):
+    # NaN fails every comparison, so a check of `radius < 0` lets it pass
+    # and the run certifies under a covering claim nothing can check
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_step_map_record(covering_radius=math.nan)))
+    assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
+    assert "covering radius must be nonnegative, got nan" in capsys.readouterr().err
+
+
+def test_a_map_file_eps_that_is_no_number_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_step_map_record(eps="x")))
+    assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
+    assert f"malformed sampled-map file {bad}: could not convert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_prime", ["nan", "inf"])
+def test_pipeline_non_finite_eps_prime_is_a_usage_error(eps_prime, capsys):
+    # not a hypothesis violation (exit 3): a non-finite eps' has no gap
+    # above eps/R_n to measure
+    assert run_cli("pipeline", "--map", "extremal", "--n", "2", "--eps", "1",
+                   "--eps-prime", eps_prime) == EXIT_USAGE
+    assert f"eps_prime must be finite, got {eps_prime}" in capsys.readouterr().err
+
+
 def test_pipeline_missing_map_file(tmp_path):
     assert run_cli("pipeline", "--map-file", str(tmp_path / "nope.json"),
                    "--eps", "1", "--eps-prime", "0.6") == EXIT_IO
@@ -303,7 +335,7 @@ def test_pipeline_map_file_eps_zero_is_rejected(tmp_path, capsys):
     dump_sampled_map(sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0), str(path))
     assert run_cli("pipeline", "--map-file", str(path), "--eps", "0",
                    "--eps-prime", "0.6") == EXIT_USAGE
-    assert "eps must lie in (0, 2], got 0.0" in capsys.readouterr().err
+    assert "discontinuity scale must lie in (0, 2.0], got 0.0" in capsys.readouterr().err
 
 
 # --- verify -------------------------------------------------------------------

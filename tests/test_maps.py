@@ -136,6 +136,8 @@ def test_sampled_map_validation():
         SampledMap(np.array([[0.5]]), np.array([[1.5]]), covering_radius=0.1)
     with pytest.raises(ValueError):
         SampledMap(np.array([[0.5]]), np.array([[0.0], [0.1]]), covering_radius=0.1)
+    with pytest.raises(ValueError, match="got nan"):
+        SampledMap(np.array([[0.5]]), np.array([[0.0]]), covering_radius=float("nan"))
 
 
 def test_sampled_map_covering_probe():

@@ -348,6 +348,15 @@ def test_run_pipeline_hypothesis_error():
         run_pipeline(ExtremalMap(dim=2, eps=1.0), 2, 1.0, 1.0 / math.sqrt(3.0))
 
 
+@pytest.mark.parametrize("eps_prime", [math.nan, math.inf])
+def test_run_pipeline_rejects_a_non_finite_eps_prime(eps_prime):
+    # a validation error, not a hypothesis one: a non-finite eps' has no
+    # gap above eps/R_n to measure
+    with pytest.raises(DomainError, match="eps_prime must be finite") as exc:
+        run_pipeline(ExtremalMap(dim=2, eps=1.0), 2, 1.0, eps_prime)
+    assert not isinstance(exc.value, HypothesisError)
+
+
 def test_run_pipeline_constant_map():
     run = run_pipeline(ConstantMap(np.array([0.3, 0.0])), 2, 1.0, 0.9)
     assert run.displacement_recheck <= run.params.alpha / 2.0 + 1e-9

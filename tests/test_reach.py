@@ -1,0 +1,19 @@
+"""The reach gate: bench/reach.py rerun against the committed
+BENCH_pipeline.json.  It fails on a wrong certificate or an exception, on
+a changed outcome or certificate (alpha, displacement), and on grown
+f-evaluations or pivots, over all 57 reach cases (about a second)."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_reach_matches_the_committed_bench(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "reach.py"), "--repeats", "1",
+         "--out", str(tmp_path / "BENCH_pipeline.json"),
+         "--check", str(ROOT / "BENCH_pipeline.json")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

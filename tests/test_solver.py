@@ -299,9 +299,9 @@ class HoleMap:
 
 def test_a_flat_level_drops_the_next_one(monkeypatch):
     # the coarse levels see only v, whose grid simplex lies in the hole, so
-    # the direct solve at v fails; the level after the flat one is dropped,
-    # and the spacing shrinks by 16 (the full schedule is 256, 64, 16, 4, 1)
-    assert _levels(monkeypatch, HoleMap((0.31,), 0.1), 1, 1 / 256) == [256, 16, 4, 1]
+    # the direct solve at v fails; no level is dropped after the flat one,
+    # and the spacing shrinks by 4 as on every level
+    assert _levels(monkeypatch, HoleMap((0.31,), 0.1), 1, 1 / 256) == [256, 64, 16, 4, 1]
 
 
 def test_a_flat_level_is_solved_directly_at_its_value(monkeypatch):
@@ -312,9 +312,9 @@ def test_a_flat_level_is_solved_directly_at_its_value(monkeypatch):
 
 def test_without_the_direct_solve_flat_levels_drop_to_the_grid(monkeypatch):
     # every level ends on the one value: after each flat level the spacing
-    # shrinks by 16, never past the grid's
+    # shrinks by 4, down to the grid's
     assert _levels(monkeypatch, ConstantMap((0.31, -0.17)), 2, 0.01,
-                   direct=False) == [128, 8, 1]
+                   direct=False) == [128, 32, 8, 2, 1]
 
 
 def test_levels_that_are_not_flat_keep_the_schedule(monkeypatch):
@@ -329,8 +329,8 @@ def test_without_the_direct_solve_levels_keep_the_schedule(monkeypatch):
 
 
 def test_a_hole_under_a_flat_level_costs_few_pivots():
-    # dropping one level after a flat one keeps the next path within 16
-    # cells of v; jumping straight to the grid's spacing took 106 pivots here
+    # every level after the flat one starts at v, the hole's centre;
+    # jumping straight to the grid's spacing took 106 pivots here
     f, alpha = HoleMap((0.31,), 0.1), 1 / 256
     grid, result = _solve(f, 1, alpha)
     assert result.residual <= 1e-12
@@ -351,29 +351,30 @@ def test_a_fixed_point_in_the_start_simplex_runs_no_path(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [
-    IdentityMap(2),  # every value is its vertex: the system is singular
+    # every value is its vertex: the system is singular (numpy's LinAlgError)
+    *(IdentityMap(dim) for dim in range(1, 6)),
     ConstantMap((0.7, -0.5)),  # the fixed point is far: some lambda_k < 0
 ])
 def test_a_start_simplex_without_a_fixed_point_falls_back_to_the_path(monkeypatch, f):
-    grid = build_sample_grid(f, 2, 0.2)
-    assert _kuhn_fixed_point(grid, [1e-3 * grid.spacing, 2e-3 * grid.spacing]) is None
+    grid = build_sample_grid(f, f.dim, 0.2, max_points=10**9)
+    assert _kuhn_fixed_point(grid, [k * 1e-3 * grid.spacing for k in range(1, f.dim + 1)]) is None
     paths = _paths(monkeypatch)
-    _, result = _solve(f, 2, 0.2)
+    result = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid)
     assert paths
     assert result.residual <= 1e-12
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 10),
        delta=st.sampled_from([0.02, 0.1, 0.3]), gain=st.floats(0.3, 4.0),
        alpha=st.sampled_from([0.3, 0.05, 0.01]),
-       shift=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+       shift=st.lists(st.floats(-1.5, 1.5), min_size=10, max_size=10))
 def test_a_direct_solution_is_a_fixed_point_in_the_simplex_of_c(seed, dim, delta, gain, alpha,
                                                                  shift):
     # start points within a cell or so of a fixed point of F, so that the
     # simplex of c often holds one
     f = quantized_map(np.random.default_rng(seed), dim, delta, gain, gain)
-    grid = build_sample_grid(f, dim, alpha, max_points=10**9)
+    grid = build_sample_grid(f, dim, alpha, max_points=10**40)
     s = grid.spacing
     c = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid).y + s * np.array(shift[:dim])
     c = (c / max(1.0, float(np.linalg.norm(c)))).tolist()
@@ -386,6 +387,17 @@ def test_a_direct_solution_is_a_fixed_point_in_the_simplex_of_c(seed, dim, delta
     g = [1.0] + [y[a] / s - vertices[0][a] for a in axes] + [0.0]
     assert all(a >= b - 1e-9 for a, b in zip(g, g[1:])), (c, y)
     assert float(np.linalg.norm(averaged_map_eval(y, grid) - np.array(y))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_the_simplex_of_a_fixed_point_solves_back_to_it(dim):
+    # F is affine on the grid simplex holding its fixed point y, so the
+    # direct solve there, an (n+1)x(n+1) system, returns y
+    grid = build_sample_grid(ExtremalMap(dim=dim, eps=1.0), dim, 0.05, max_points=10**40)
+    y = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid).y
+    direct = _kuhn_fixed_point(grid, y.tolist())
+    assert direct is not None
+    assert np.abs(np.array(direct) - y).max() <= 1e-15
 
 
 @pytest.mark.parametrize("dim", range(1, 11))
