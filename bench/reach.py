@@ -96,7 +96,7 @@ def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:
         "displacement": displacement,
         "f_evals": counted.f_evals,
         "grid_points": len(run.grid),
-        "pivots": run.fixed_point.pivots,
+        "pivots": run.certificate.trace.pivots,
         "alpha": run.params.alpha,
     }, seconds
 

@@ -26,8 +26,6 @@ from .geometry import (
     ConvexCombination,
     PointSet,
     diameter,
-    eval_combination,
-    jung_nearest,
     jung_radius,
     min_enclosing_ball,
     regular_simplex_vertices,
@@ -42,7 +40,6 @@ from .maps import (
     discontinuity_witness_1d,
     eps_fixed_indices,
     image_diameter,
-    modulus_estimate,
     sample_map_on_grid,
 )
 from .oracle import (

@@ -24,7 +24,6 @@ from .errors import (
     BudgetExceededError,
     DomainError,
     HypothesisError,
-    InvalidCombinationError,
     InvalidDimensionError,
     NoConvergenceError,
     SolverError,
@@ -72,8 +71,9 @@ def _write_output(text: str, out: str | None) -> None:
 def load_sampled_map(path: str) -> maps.SampledMap:
     """Read the SampledMap JSON record: schema_version, dim, eps,
     covering_radius, and parallel point/value arrays."""
-    raw = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
     try:
+        raw = json.loads(text)
         dim = int(raw["dim"])
         points = np.asarray(raw["points"], dtype=float)
         values = np.asarray(raw["values"], dtype=float)
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, NoConvergenceError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DomainError, InvalidDimensionError, InvalidCombinationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -35,12 +35,10 @@ class HypothesisError(BallfixError, ValueError):
 class BudgetExceededError(BallfixError, RuntimeError):
     """A computation would exceed its configured size budget."""
 
-    def __init__(self, message: str, *, limit: int | None = None,
-                 required: int | None = None, min_feasible_alpha: float | None = None):
+    def __init__(self, message: str, *, limit: int | None = None, required: int | None = None):
         super().__init__(message)
         self.limit = limit
         self.required = required
-        self.min_feasible_alpha = min_feasible_alpha
 
 
 class NoConvergenceError(BallfixError, RuntimeError):

@@ -1,8 +1,8 @@
 """Euclidean geometry on the unit ball.
 
 Provides the Jung constant, inscribed regular simplices, point-set
-diameters, exact minimal enclosing balls for small dimensions, convex
-combinations with a nearest-support-point query, and the ball lattice.
+diameters, exact minimal enclosing balls for small dimensions, validated
+convex combinations, and the ball lattice.
 
 All operations are pure functions; vectors are plain numpy float arrays
 treated as immutable values.
@@ -40,8 +40,6 @@ __all__ = [
     "check_weights",
     "cube_lattice",
     "diameter",
-    "eval_combination",
-    "jung_nearest",
     "jung_radius",
     "min_enclosing_ball",
     "pairwise_diameter",
@@ -94,14 +92,14 @@ def as_points(points) -> np.ndarray:
 def pairwise_diameter(points) -> float:
     """Max pairwise Euclidean distance, exact up to floating arithmetic.
 
-    Chunked so memory stays bounded for a few hundred thousand points;
-    quadratic in time.
+    Chunked so a block holds about 2^20 coordinate differences (at least
+    one row), whatever the count and dimension; quadratic in time.
     """
     pts = as_points(points)
     m = pts.shape[0]
     if m == 1:
         return 0.0
-    chunk = max(1, (1 << 20) // m)
+    chunk = max(1, (1 << 20) // (m * pts.shape[1]))
     best = 0.0
     for start in range(0, m, chunk):
         block = pts[start:start + chunk]
@@ -316,20 +314,3 @@ def check_weights(weights: list[float]) -> None:
         raise InvalidCombinationError(
             f"weights sum to {total!r}, expected 1 within {TOL_WEIGHTS}")
 
-
-def eval_combination(c: ConvexCombination) -> np.ndarray:
-    """The combination as a Euclidean point; lies in the convex hull of the
-    support, hence in the unit ball whenever all support points do."""
-    return c.weights @ c.points
-
-
-def jung_nearest(c: ConvexCombination) -> tuple[int, float]:
-    """Index and distance of the support point nearest to the combination.
-
-    Jung's theorem guarantees the distance is at most
-    support_diameter / jung_radius(dim).
-    """
-    y = eval_combination(c)
-    dists = np.linalg.norm(c.points - y, axis=1)
-    i = int(np.argmin(dists))
-    return i, float(dists[i])

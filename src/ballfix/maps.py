@@ -2,8 +2,8 @@
 
 Houses the two discontinuous reference constructions (the 1-D step map
 and the Voronoi extremal map), finitely sampled maps, and diagnostics:
-image diameters, a ball-based modulus-of-discontinuity estimator, and the
-1-D two-sided discontinuity-witness search.  Every map has `__call__` for
+image diameters, radius-r neighborhood image diameters, and the 1-D
+two-sided discontinuity-witness search.  Every map has `__call__` for
 one point and `batch` for rows of points; grids and sweeps use `batch`.
 """
 
@@ -27,7 +27,6 @@ from .geometry import (
     cube_lattice,
     jung_radius,
     pairwise_diameter,
-    random_ball_points,
     regular_simplex_vertices,
 )
 
@@ -43,15 +42,14 @@ __all__ = [
     "discontinuity_witness_1d",
     "eps_fixed_indices",
     "image_diameter",
-    "modulus_estimate",
     "neighborhood_diameter",
     "sample_map_on_grid",
 ]
 
 
-def _check_in_ball(x: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
+def _check_in_ball(x: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(x))
-    if norm > 1.0 + tol:
+    if norm > 1.0 + TOL_GEOM:
         raise DomainError(f"point has norm {norm}, outside the unit ball")
     return x
 
@@ -122,11 +120,6 @@ class ExtremalMap:
     def scale(self) -> float:
         return self.eps / jung_radius(self.dim)
 
-    def voronoi_index(self, x) -> int:
-        """Index of the nearest simplex vertex, ties to the lowest index."""
-        x = _check_in_ball(as_vector(x))
-        return int(self.batch_index(x[None, :])[0])
-
     def batch_index(self, xs: np.ndarray) -> np.ndarray:
         xs = as_points(xs)
         verts = self.vertices.points
@@ -195,9 +188,7 @@ class SampledMap:
     the value at the nearest sample (piecewise constant on the Voronoi
     cells of the samples).
 
-    The covering radius is caller-supplied metadata; `check_covering`
-    verifies it probabilistically (exact verification is a separate hard
-    problem).
+    The covering radius is caller-supplied metadata.
     """
 
     points: np.ndarray
@@ -238,14 +229,6 @@ class SampledMap:
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         return self.values[self._tree.query(as_points(xs))[1]]
-
-    def check_covering(self, probes: int = 1000, seed: int = 0) -> float:
-        """Max distance from random ball probes to the sample set; the
-        covering claim holds on this sample of probes iff the result is
-        at most covering_radius."""
-        probe_points = random_ball_points(np.random.default_rng(seed), self.dim, probes)
-        dists, _ = self._tree.query(probe_points)
-        return float(dists.max())
 
 
 def sample_map_on_grid(f, dim: int, spacing: float, eps: float | None = None) -> SampledMap:
@@ -325,15 +308,6 @@ def neighborhood_diameter(points: np.ndarray, values: np.ndarray, r: float,
         if len(idx) > 1:
             best = max(best, pairwise_diameter(values[idx]))
     return best
-
-
-def modulus_estimate(m: SampledMap, r: float) -> float:
-    """Max over samples z of the image diameter of the closed ball of
-    radius r around z, intersected with the sample set: a lower bound on
-    the map's modulus of discontinuity at scale r, nondecreasing in r."""
-    if r <= 0:
-        raise DomainError(f"neighborhood radius must be positive, got {r}")
-    return neighborhood_diameter(m.points, m.values, r)
 
 
 def eps_fixed_indices(m: SampledMap, eps_prime: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from .geometry import (
 from .maps import ExtremalMap, neighborhood_diameter
 
 DEFAULT_BUDGET = 10_000_000
+_SET_SIZE = 10  # each Jung trial draws 1.._SET_SIZE points
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -71,7 +72,7 @@ def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
         raise DomainError(f"grid budget must be at least 1, got {budget}")
     if spec.total_points > budget:
         raise BudgetExceededError(
-            f"grid of {spec.total_points} points exceeds the budget of {budget}",
+            f"grid of {spec.points_per_axis}^{spec.dim} points exceeds the budget of {budget}",
             limit=budget, required=spec.total_points)
     axis = np.linspace(-1.0, 1.0, spec.points_per_axis)
     if spec.dim == 1:
@@ -157,8 +158,7 @@ class JungCounterexample:
     bound: float
 
 
-def jung_random_test(dim: int, trials: int, points_per_set: int = 10,
-                     seed: int = 0) -> JungCounterexample | None:
+def jung_random_test(dim: int, trials: int, seed: int = 0) -> JungCounterexample | None:
     """Randomized certification that every convex combination of a point set
     lies within diameter / jung_radius(dim) of some member.
 
@@ -169,7 +169,7 @@ def jung_random_test(dim: int, trials: int, points_per_set: int = 10,
     rng = np.random.default_rng(seed)
     radius = jung_radius(dim)
     for _ in range(trials):
-        count = int(rng.integers(1, points_per_set + 1))
+        count = int(rng.integers(1, _SET_SIZE + 1))
         pts = random_ball_points(rng, dim, count)
         weights = rng.exponential(size=count)
         weights /= weights.sum()

@@ -151,15 +151,9 @@ class SampleGrid:
         half_count = int(math.ceil(1.0 / spacing))
         per_axis = 2 * half_count + 1
         if per_axis ** dim > max_points:
-            # the alpha whose cube has max_points vertices
-            min_alpha = 2.0 / (max(2.0, max_points ** (1.0 / dim)) - 1.0) * math.sqrt(dim) * 2.0
             raise BudgetExceededError(
-                f"grid for alpha={alpha} needs {per_axis ** dim} points, over the "
-                f"budget of {max_points}; smallest feasible alpha is about {min_alpha:.3g}",
-                limit=max_points,
-                required=per_axis ** dim,
-                min_feasible_alpha=min_alpha,
-            )
+                f"grid for alpha={alpha} needs {per_axis}^{dim} points, over the "
+                f"budget of {max_points}", limit=max_points, required=per_axis ** dim)
         self.f = f
         self.dim = dim
         self.alpha = float(alpha)
@@ -605,7 +599,6 @@ class PipelineRun:
 
     params: PipelineParams
     grid: SampleGrid
-    fixed_point: FixedPointResult
     certificate: EpsFixedPointCertificate
     displacement_recheck: float
 
@@ -650,5 +643,5 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
             alpha /= 2.0  # not yet "sufficiently small"
             continue
         recheck = math.dist(as_vector(f(certificate.z)).tolist(), certificate.z.tolist())
-        return PipelineRun(params=params, grid=grid, fixed_point=fixed_point,
-                           certificate=certificate, displacement_recheck=recheck)
+        return PipelineRun(params=params, grid=grid, certificate=certificate,
+                           displacement_recheck=recheck)

@@ -170,6 +170,14 @@ def test_a_map_file_eps_that_is_no_number_names_the_file(tmp_path, capsys):
     assert f"malformed sampled-map file {bad}: could not convert" in capsys.readouterr().err
 
 
+def test_a_map_file_that_is_no_json_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1,')
+    assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
+    assert (f"malformed sampled-map file {bad}: Expecting property name"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("eps_prime", ["nan", "inf"])
 def test_pipeline_non_finite_eps_prime_is_a_usage_error(eps_prime, capsys):
     # not a hypothesis violation (exit 3): a non-finite eps' has no gap
@@ -188,6 +196,21 @@ def test_pipeline_budget_exit_code():
     # a bound this tight needs a finer grid than the budget allows
     assert run_cli("pipeline", "--map", "step", "--eps", "1",
                    "--eps-prime", "0.5001", "--budget", "1000") == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("argv, count", [
+    # a cube count of more than 4,300 digits, which Python will not print
+    (("--map", "constant", "--n", "3000", "--eps-prime", "0.8"), "^3000 points"),
+    # a budget past float range, from which the message took a float root
+    (("--map", "extremal", "--n", "32", "--eps-prime", "0.6963106238237914",
+      "--budget", str(10**400)), "^32 points"),
+])
+def test_a_grid_of_any_size_over_budget_is_a_budget_error(argv, count, capsys):
+    assert run_cli("pipeline", "--eps", "1", *argv) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget error: grid for alpha=")
+    assert count in captured.err
 
 
 def test_a_gap_of_1e_6_is_a_budget_question_not_a_usage_error(capsys):

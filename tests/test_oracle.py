@@ -31,6 +31,13 @@ def test_grid_budget_error():
         list(iter_ball_grid(spec))
 
 
+def test_a_grid_too_large_to_print_is_a_budget_error():
+    # 201^3000 has 6,913 digits, more than Python formats an int with
+    with pytest.raises(BudgetExceededError, match=r"grid of 201\^3000 points") as err:
+        next(iter_ball_grid(GridSpec(dim=3000, points_per_axis=201)))
+    assert err.value.required == 201 ** 3000
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_grid_budget_below_one_is_a_domain_error(budget):
     with pytest.raises(DomainError, match="grid budget must be at least 1"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from ballfix.errors import (
     BudgetExceededError,
@@ -14,7 +15,7 @@ from ballfix.errors import (
     SolverError,
 )
 from ballfix.geometry import TOL_GEOM, TOL_WEIGHTS, jung_radius, random_ball_points
-from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, SampledMap, StepMap1D
+from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, StepMap1D
 from ballfix.pipeline import (
     PipelineParams,
     SampleGrid,
@@ -68,17 +69,18 @@ def test_build_sample_grid_interval_cover():
     xs = np.sort(grid.points[:, 0])
     assert xs[0] <= -1.0 + 0.1 and xs[-1] >= 1.0 - 0.1
     assert np.max(np.diff(xs)) <= 0.1 + 1e-12
-    assert _sampled(grid).check_covering(probes=2000) <= 0.1
+    assert _covering_probe(grid.points, 2000) <= 0.1
 
 
-def _sampled(grid):
-    """The grid's samples as a map claiming covering radius alpha/2."""
-    return SampledMap(grid.points, grid.values, covering_radius=grid.alpha / 2.0)
+def _covering_probe(points, probes):
+    """Max distance from `probes` uniform ball points (seed 0) to `points`."""
+    probe_points = random_ball_points(np.random.default_rng(0), points.shape[1], probes)
+    return float(cKDTree(points).query(probe_points)[0].max())
 
 
 def test_build_sample_grid_planar_cover_probe():
     grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.2).materialize()
-    assert _sampled(grid).check_covering(probes=1000) <= 0.1
+    assert _covering_probe(grid.points, 1000) <= 0.1
     # boundary ring present: some samples sit on the sphere
     norms = np.linalg.norm(grid.points, axis=1)
     assert np.isclose(norms.max(), 1.0, atol=1e-12)
@@ -87,7 +89,7 @@ def test_build_sample_grid_planar_cover_probe():
 def test_build_sample_grid_budget_error():
     with pytest.raises(BudgetExceededError) as err:
         build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 1e-6)
-    assert err.value.min_feasible_alpha > 1e-6
+    assert err.value.required > err.value.limit == 2_000_000
     # lattice keys are Python ints: a budget past int64 builds the grid
     assert len(build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=2**63)) == 0
     for budget in (0, -5):  # a negative budget once took a complex root here
@@ -370,9 +372,7 @@ def test_run_pipeline_certificate_chain_terms():
     assert cert.anchor_term <= params.alpha / 2.0 + TOL_GEOM
     assert cert.trace.residual <= params.fp_tol
     assert cert.displacement <= cert.jung_term + cert.trace.residual + cert.anchor_term + TOL_GEOM
-    # the certificate carries the run's own fixed point, and z is the
-    # sample at support_index
-    assert cert.trace is run.fixed_point
+    # z is the sample at support_index
     np.testing.assert_array_equal(run.grid.points[cert.support_index], cert.z)
     np.testing.assert_array_equal(run.grid.values[cert.support_index], cert.fz)
     # independent re-evaluation, not grid internals

@@ -76,7 +76,7 @@ def certificate_record(f, dim, eps_prime):
             "y": [x.hex() for x in cert.trace.y.tolist()],
             "residual": cert.trace.residual.hex(),
             "support_index": cert.support_index,
-            "pivots": run.fixed_point.pivots,
+            "pivots": cert.trace.pivots,
             "grid_points": len(run.grid)}
 
 
@@ -137,7 +137,7 @@ def test_restart_schedule_certifies_the_fine_contraction_in_few_pivots():
         f = quantized_map(np.random.default_rng(seed), 2, 0.1, 0.5, 0.9)
         eps_prime = f.eps / jung_radius(2) + 0.025
         run = run_pipeline(f, 2, f.eps, eps_prime)
-        assert run.fixed_point.pivots <= 40, seed
+        assert run.certificate.trace.pivots <= 40, seed
         assert float(np.linalg.norm(f(run.certificate.z) - run.certificate.z)) < eps_prime, seed
 
 
@@ -157,8 +157,8 @@ def test_lattice_aligned_values_end_the_path(monkeypatch, seed, count, dim, delt
     f = quantized_maps(np.random.default_rng(seed), count, dim, delta, 2.0, 4.0)[index]
     eps_prime = margin * f.eps / jung_radius(dim)
     run = run_pipeline(f, dim, f.eps, eps_prime)
-    assert run.fixed_point.residual <= 1e-12
-    assert run.fixed_point.pivots <= 1000
+    assert run.certificate.trace.residual <= 1e-12
+    assert run.certificate.trace.pivots <= 1000
     assert float(np.linalg.norm(f(run.certificate.z) - run.certificate.z)) < eps_prime
     assert paths
 
@@ -172,7 +172,7 @@ def test_stress_sets_certify(seed, count, dim, delta):
     # expansive quantized maps, many of them flat on their coarse levels
     for f in quantized_maps(np.random.default_rng(seed), count, dim, delta, 2.0, 4.0):
         run = certify(f, dim)
-        assert run.fixed_point.pivots <= 500
+        assert run.certificate.trace.pivots <= 500
 
 
 def _solve(f, dim, alpha, **kwargs):
