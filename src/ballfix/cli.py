@@ -24,11 +24,10 @@ from .errors import (
     BudgetExceededError,
     DomainError,
     HypothesisError,
-    InvalidDimensionError,
     NoConvergenceError,
     SolverError,
 )
-from .geometry import check_eps, jung_radius
+from .geometry import check_dim, check_eps, jung_radius
 
 SCHEMA_VERSION = 1
 
@@ -71,9 +70,9 @@ def _write_output(text: str, out: str | None) -> None:
 def load_sampled_map(path: str) -> maps.SampledMap:
     """Read the SampledMap JSON record: schema_version, dim, eps,
     covering_radius, and parallel point/value arrays."""
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
         dim = int(raw["dim"])
         points = np.asarray(raw["points"], dtype=float)
         values = np.asarray(raw["values"], dtype=float)
@@ -103,9 +102,14 @@ def dump_sampled_map(m: maps.SampledMap, path: str) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
+def _write_csv(header: list[str], rows, out: str | None) -> None:
+    """A header line, then each row's Python ints and floats by repr."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    _write_output("\n".join(lines) + "\n", out)
+
+
 def cmd_radius(args) -> int:
-    if args.n < 1:
-        raise InvalidDimensionError(f"--n must be at least 1, got {args.n}")
+    check_dim(args.n)
     check_eps(args.eps)
     rows = [
         {"n": k, "jung_radius": jung_radius(k), "bound": args.eps / jung_radius(k)}
@@ -120,20 +124,17 @@ def cmd_radius(args) -> int:
     if args.format == "json":
         _write_output(_dumps(report), args.out)
     else:
-        lines = ["n,jung_radius,bound"]
-        lines += [f"{r['n']},{r['jung_radius']!r},{r['bound']!r}" for r in rows]
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_csv(list(rows[0]), [r.values() for r in rows], args.out)
     return EXIT_OK
 
 
 def _write_displacement_csv(extremal: maps.ExtremalMap, args) -> None:
     """One CSV row per ball grid point: its coordinates and displacement."""
     spec = oracle.GridSpec(dim=args.n, points_per_axis=args.resolution)
-    lines = [",".join(f"x{i}" for i in range(args.n)) + ",displacement"]
-    for chunk, disp in oracle.displacement_rows(extremal, spec, args.budget):
-        for row, d in zip(chunk, disp):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{float(d)!r}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    rows = (row + [d]
+            for chunk, disp in oracle.displacement_rows(extremal, spec, args.budget)
+            for row, d in zip(chunk.tolist(), disp.tolist()))
+    _write_csv([f"x{i}" for i in range(args.n)] + ["displacement"], rows, args.out)
 
 
 def cmd_extremal(args) -> int:

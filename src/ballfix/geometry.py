@@ -11,7 +11,8 @@ treated as immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "ball_lattice",
     "check_dim",
     "check_eps",
+    "check_in_ball",
     "check_weights",
     "cube_lattice",
     "diameter",
@@ -61,6 +63,16 @@ def check_eps(eps) -> float:
     if not (0.0 < eps <= EPS_MAX):
         raise DomainError(f"discontinuity scale must lie in (0, {EPS_MAX}], got {eps}")
     return eps
+
+
+def check_in_ball(points, what: str = "point") -> np.ndarray:
+    """The points (a vector or rows) as floats; DomainError if any lies
+    outside the unit ball by more than TOL_GEOM.  NaN fails too."""
+    arr = np.asarray(points, dtype=float)
+    norms = np.linalg.norm(arr, axis=-1)
+    if not np.all(norms <= 1.0 + TOL_GEOM):
+        raise DomainError(f"{what} of norm {float(np.max(norms))} lies outside the unit ball")
+    return arr
 
 
 def as_vector(coords) -> np.ndarray:
@@ -110,15 +122,16 @@ def pairwise_diameter(points) -> float:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A nonempty finite point configuration with its diameter cached."""
+    """A nonempty finite point configuration, its diameter cached on first use."""
 
     points: np.ndarray
-    diameter: float = field(init=False)
 
     def __post_init__(self):
-        pts = as_points(self.points)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "diameter", pairwise_diameter(pts))
+        object.__setattr__(self, "points", as_points(self.points))
+
+    @cached_property
+    def diameter(self) -> float:
+        return pairwise_diameter(self.points)
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,11 @@
 """Self-maps of the unit ball with controlled discontinuity.
 
-Houses the two discontinuous reference constructions (the 1-D step map
-and the Voronoi extremal map), finitely sampled maps, and diagnostics:
-image diameters, radius-r neighborhood image diameters, and the 1-D
-two-sided discontinuity-witness search.  Every map has `__call__` for
-one point and `batch` for rows of points; grids and sweeps use `batch`.
+Houses the discontinuous reference construction (the Voronoi extremal
+map, whose 1-D case is the step map), finitely sampled maps, and
+diagnostics: image diameters, radius-r neighborhood image diameters, and
+the 1-D two-sided discontinuity-witness search.  Every map has `batch`
+for rows of points, which grids and sweeps use, and one shared
+`__call__` for one point of the ball.
 """
 
 from __future__ import annotations
@@ -17,20 +18,18 @@ from scipy.spatial import cKDTree
 
 from .errors import BudgetExceededError, DomainError, InvalidDimensionError
 from .geometry import (
-    TOL_GEOM,
     PointSet,
     as_points,
     as_vector,
     ball_lattice,
     check_dim,
     check_eps,
+    check_in_ball,
     cube_lattice,
     jung_radius,
     pairwise_diameter,
     regular_simplex_vertices,
 )
-
-_TIE_TOL_SQ = 1e-12  # absolute tolerance on squared distances for Voronoi ties
 
 __all__ = [
     "ConstantMap",
@@ -47,48 +46,16 @@ __all__ = [
 ]
 
 
-def _check_in_ball(x: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0 + TOL_GEOM:
-        raise DomainError(f"point has norm {norm}, outside the unit ball")
-    return x
+class _BallMap:
+    """One point evaluation for every map: the point must lie in the ball,
+    and its image is `batch` of one row."""
+
+    def __call__(self, x) -> np.ndarray:
+        return self.batch(check_in_ball(as_vector(x))[None, :])[0]
 
 
 @dataclass(frozen=True)
-class StepMap1D:
-    """Two-valued map on [-1, 1]: +eps/2 on the left branch (x <= 0),
-    -eps/2 on the right branch.  Image diameter is exactly eps, yet no
-    point moves by less than eps/2."""
-
-    eps: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", check_eps(self.eps))
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        v = float(arr) if scalar else float(arr.reshape(-1)[0])
-        if abs(v) > 1.0 + TOL_GEOM:
-            raise DomainError(f"{v} lies outside [-1, 1]")
-        y = 0.5 * self.eps if v <= 0.0 else -0.5 * self.eps
-        return y if scalar else np.array([y])
-
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = as_points(xs)
-        y = np.where(xs[:, 0] <= 0.0, 0.5 * self.eps, -0.5 * self.eps)
-        return y[:, None]
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def image_points(self) -> PointSet:
-        return PointSet(np.array([[0.5 * self.eps], [-0.5 * self.eps]]))
-
-
-@dataclass(frozen=True)
-class ExtremalMap:
+class ExtremalMap(_BallMap):
     """Piecewise-constant self-map built on the Voronoi cells of an inscribed
     regular simplex.
 
@@ -102,9 +69,9 @@ class ExtremalMap:
     (value norms equal eps / jung_radius(dim)); the sharp self-map regime
     is eps <= jung_radius(dim).
 
-    Ties on cell walls go to the lowest vertex index so the cells form a
-    true partition; that keeps the dim = 1 case pointwise equal to
-    StepMap1D.
+    A point on a cell wall, up to rounding, goes to the lowest vertex index,
+    so the bound holds to rounding.  In dim 1 the sites are exactly -1 and
+    +1, and the map is the step map: +eps/2 on x <= 0, -eps/2 on x > 0.
     """
 
     dim: int
@@ -122,18 +89,13 @@ class ExtremalMap:
 
     def batch_index(self, xs: np.ndarray) -> np.ndarray:
         xs = as_points(xs)
-        verts = self.vertices.points
-        d2 = (
-            (xs * xs).sum(axis=1)[:, None]
-            - 2.0 * xs @ verts.T
-            + (verts * verts).sum(axis=1)[None, :]
-        )
-        tied = d2 <= d2.min(axis=1, keepdims=True) + _TIE_TOL_SQ
-        return np.argmax(tied, axis=1)
-
-    def __call__(self, x) -> np.ndarray:
-        x = _check_in_ball(as_vector(x))
-        return self.batch(x[None, :])[0]
+        # The sites are unit vectors, so the largest x.v_i is the nearest
+        # site.  A computed x.v_i is off by at most about dim * ||x||_1 times
+        # half the machine epsilon (|v_ij| <= 1), so two that differ by less
+        # than `slack` tie up to rounding; a tie goes to the lowest index.
+        dots = xs @ self.vertices.points.T
+        slack = (self.dim + 2) * np.finfo(float).eps * np.abs(xs).sum(axis=1, keepdims=True)
+        return np.argmax(dots >= dots.max(axis=1, keepdims=True) - slack, axis=1)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         idx = self.batch_index(xs)
@@ -143,21 +105,24 @@ class ExtremalMap:
         return PointSet(-self.scale * self.vertices.points)
 
 
+def StepMap1D(eps: float) -> ExtremalMap:
+    """The 1-D extremal map: +eps/2 on x <= 0, -eps/2 on x > 0.  Its image
+    diameter is exactly eps, yet no point moves by less than eps/2."""
+    return ExtremalMap(dim=1, eps=eps)
+
+
 @dataclass(frozen=True)
-class ConstantMap:
+class ConstantMap(_BallMap):
     """Sends every point to a fixed value; 0-continuous test map."""
 
     value: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _check_in_ball(as_vector(self.value)))
+        object.__setattr__(self, "value", check_in_ball(as_vector(self.value), "value"))
 
     @property
     def dim(self) -> int:
         return self.value.shape[0]
-
-    def __call__(self, x) -> np.ndarray:
-        return self.value.copy()
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         xs = as_points(xs)
@@ -168,20 +133,17 @@ class ConstantMap:
 
 
 @dataclass(frozen=True)
-class IdentityMap:
+class IdentityMap(_BallMap):
     """Fixes every point; continuous test map."""
 
     dim: int
-
-    def __call__(self, x) -> np.ndarray:
-        return as_vector(x).copy()
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         return as_points(xs).copy()
 
 
 @dataclass(frozen=True)
-class SampledMap:
+class SampledMap(_BallMap):
     """A map known only through samples: points z in the ball paired with
     values f(z), plus a covering radius r_cov promising every point of the
     ball lies within r_cov of some sample.  Evaluated anywhere, it returns
@@ -201,10 +163,8 @@ class SampledMap:
         vals = as_points(self.values)
         if vals.shape != pts.shape:
             raise ValueError(f"points shape {pts.shape} != values shape {vals.shape}")
-        if float(np.linalg.norm(pts, axis=1).max()) > 1.0 + TOL_GEOM:
-            raise DomainError("some sample point lies outside the unit ball")
-        if float(np.linalg.norm(vals, axis=1).max()) > 1.0 + TOL_GEOM:
-            raise DomainError("some sample value lies outside the unit ball")
+        check_in_ball(pts, "some sample point")
+        check_in_ball(vals, "some sample value")
         if not self.covering_radius >= 0:  # NaN too
             raise ValueError(f"covering radius must be nonnegative, got {self.covering_radius}")
         object.__setattr__(self, "points", pts)
@@ -224,11 +184,11 @@ class SampledMap:
     def _tree(self) -> cKDTree:
         return cKDTree(self.points)
 
-    def __call__(self, x) -> np.ndarray:
-        return self.values[int(self._tree.query(as_vector(x))[1])]
-
     def batch(self, xs: np.ndarray) -> np.ndarray:
         return self.values[self._tree.query(as_points(xs))[1]]
+
+    def image_points(self) -> PointSet:
+        return PointSet(np.unique(self.values, axis=0))
 
 
 def sample_map_on_grid(f, dim: int, spacing: float, eps: float | None = None) -> SampledMap:
@@ -262,11 +222,9 @@ class DiscontinuityWitness1D:
 def image_diameter(m) -> float:
     """Diameter of a map's (finite) image set.
 
-    Exact eps for StepMap1D; eps up to floating error for ExtremalMap;
-    the diameter of the distinct sampled values for a SampledMap.
+    Exact eps for the step map, eps up to floating error for ExtremalMap
+    in dim > 1, and the diameter of the distinct values for a SampledMap.
     """
-    if isinstance(m, SampledMap):
-        return pairwise_diameter(np.unique(m.values, axis=0))
     if hasattr(m, "image_points"):
         return m.image_points().diameter
     raise TypeError(f"no finite image set known for {type(m).__name__}")

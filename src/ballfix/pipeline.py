@@ -42,6 +42,7 @@ from .geometry import (
     ball_lattice,
     check_dim,
     check_eps,
+    check_in_ball,
     cube_lattice,
     check_weights,
     jung_radius,
@@ -308,8 +309,7 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
         return grid._embedded[1]
     if len(y) != grid.dim:
         raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
-    if math.hypot(*y) > 1.0 + TOL_GEOM:
-        raise DomainError("embedding is defined on the unit ball only")
+    check_in_ball(y, "embedded point")
     vertices, _, weights = _kuhn_simplex([x / grid.spacing for x in y])
     kept = [j for j, w in enumerate(weights) if w > 0.0]
     support = grid.touch([vertices[j] for j in kept])

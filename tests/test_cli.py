@@ -178,6 +178,14 @@ def test_a_map_file_that_is_no_json_names_the_file(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_a_map_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"dim": 1}'.encode("utf-16-le"))
+    assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
+    assert (f"malformed sampled-map file {bad}: 'utf-8' codec can't decode byte 0xff"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("eps_prime", ["nan", "inf"])
 def test_pipeline_non_finite_eps_prime_is_a_usage_error(eps_prime, capsys):
     # not a hypothesis violation (exit 3): a non-finite eps' has no gap

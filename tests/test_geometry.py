@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballfix.errors import InvalidCombinationError, InvalidDimensionError
+from ballfix.errors import DomainError, InvalidCombinationError, InvalidDimensionError
 from ballfix.geometry import (
     TOL_GEOM,
     ConvexCombination,
     PointSet,
+    check_in_ball,
     diameter,
     jung_radius,
     min_enclosing_ball,
@@ -218,3 +219,14 @@ def test_combination_stays_inside_simplex_facets(seed, n):
     c = ConvexCombination(points=verts, weights=weights / weights.sum())
     p = eval_combination(c)
     assert np.all(verts @ p >= -1.0 / n - TOL_GEOM)
+
+
+def test_check_in_ball_takes_a_vector_or_rows():
+    np.testing.assert_array_equal(check_in_ball([0.6, 0.8]), [0.6, 0.8])
+    check_in_ball(np.array([[0.0, 1.0 + TOL_GEOM / 2], [0.3, 0.4]]))
+    with pytest.raises(DomainError, match="point of norm 1.01 lies outside the unit ball"):
+        check_in_ball([1.01, 0.0])
+    with pytest.raises(DomainError, match="some value of norm 2.0 lies outside"):
+        check_in_ball(np.array([[0.0, 0.5], [0.0, 2.0]]), "some value")
+    with pytest.raises(DomainError, match="norm nan"):
+        check_in_ball([float("nan"), 0.0])

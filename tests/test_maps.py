@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from ballfix import geometry
 from ballfix.errors import DomainError, InvalidDimensionError
 from ballfix.geometry import TOL_GEOM, jung_radius, random_ball_points
 from ballfix.maps import (
     ConstantMap,
     ExtremalMap,
+    IdentityMap,
     SampledMap,
     StepMap1D,
     discontinuity_witness_1d,
@@ -46,7 +48,7 @@ def test_eps_range_rejected(eps):
 def test_step_batch_matches_scalar():
     m = StepMap1D(0.8)
     xs = np.linspace(-1, 1, 17)[:, None]
-    np.testing.assert_allclose(m.batch(xs).ravel(), [m(float(x)) for x in xs.ravel()])
+    np.testing.assert_allclose(m.batch(xs).ravel(), [m(float(x))[0] for x in xs.ravel()])
 
 
 # --- extremal map ------------------------------------------------------------
@@ -107,12 +109,61 @@ def test_image_diameter_examples():
     assert image_diameter(constant) == 0.0
 
 
+def test_extremal_map_defers_its_diameter_until_asked(monkeypatch):
+    # the simplex's diameter is jung_radius(dim) in closed form; building
+    # the map must not pay the quadratic pairwise scan for it
+    calls = []
+    real = geometry.pairwise_diameter
+    monkeypatch.setattr(geometry, "pairwise_diameter",
+                        lambda pts: calls.append(1) or real(pts))
+    m = ExtremalMap(dim=200, eps=1.0)
+    assert calls == []
+    assert image_diameter(m) == pytest.approx(1.0, abs=TOL_GEOM)
+    assert len(calls) == 1
+
+
 def test_step_and_extremal_agree_in_dim1():
+    # the step map is the 1-D extremal map: +eps/2 on x <= 0 (-0.0 too),
+    # -eps/2 on x > 0, however close to the origin
     step = StepMap1D(1.0)
     low = ExtremalMap(dim=1, eps=1.0)                  # origin goes to vertex -1
-    xs = np.linspace(-1.0, 1.0, 81)
+    xs = list(np.linspace(-1.0, 1.0, 81)) + [-0.0, 1e-13, 2e-13, 2.4e-13]
     for x in xs:
-        assert low(np.array([x]))[0] == step(float(x))
+        expected = 0.5 if x <= 0.0 else -0.5
+        assert low(np.array([x]))[0] == step(float(x))[0] == expected
+
+
+def test_extremal_ties_on_the_3d_x_axis_go_to_vertex_1():
+    # x.v_1, x.v_2 and x.v_3 are equal but for rounding on the +x axis
+    m = ExtremalMap(dim=3, eps=1.0)
+    ks = np.arange(1, 21)
+    for s in (1e-9, 1e-3, 0.05):
+        pts = np.zeros((ks.size, 3))
+        pts[:, 0] = ks * s
+        np.testing.assert_array_equal(m.batch_index(pts), 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 32])
+def test_extremal_displacement_meets_the_bound_to_rounding(dim):
+    # near the origin and on cell walls, where ties up to rounding decide
+    # the cell, no point moves by less than eps/R_n
+    m = ExtremalMap(dim=dim, eps=1.0)
+    rng = np.random.default_rng(dim)
+    count = 2000
+    dirs = rng.standard_normal((count, dim))
+    verts = m.vertices.points
+    i = rng.integers(0, dim + 1, count)
+    j = (i + rng.integers(1, dim + 1, count)) % (dim + 1)
+    normal = verts[i] - verts[j]
+    on_wall = dirs - ((dirs * normal).sum(axis=1) / (normal * normal).sum(axis=1))[:, None] * normal
+    if dim > 1:  # the 1-D wall is the origin
+        dirs[count // 2:] = on_wall[count // 2:]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = 10.0 ** rng.uniform(-16.0, -6.0, count)
+    radii[::4] = rng.uniform(0.0, 1.0, radii[::4].size)
+    pts = dirs * radii[:, None]
+    disp = np.linalg.norm(m.batch(pts) - pts, axis=1)
+    assert float((disp - 1.0 / jung_radius(dim)).min()) >= -1e-15
 
 
 def test_extremal_min_displacement_respects_bound():
@@ -139,6 +190,22 @@ def test_sampled_map_validation():
         SampledMap(np.array([[0.5]]), np.array([[0.0], [0.1]]), covering_radius=0.1)
     with pytest.raises(ValueError, match="got nan"):
         SampledMap(np.array([[0.5]]), np.array([[0.0]]), covering_radius=float("nan"))
+
+
+def _built_in_maps():
+    sampled = sample_map_on_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.1, eps=1.0)
+    return [StepMap1D(1.0), ExtremalMap(dim=2, eps=1.0), ExtremalMap(dim=3, eps=0.7),
+            ConstantMap(np.array([0.2, -0.1, 0.3])), IdentityMap(2), sampled]
+
+
+@pytest.mark.parametrize("m", _built_in_maps(), ids=lambda m: f"{type(m).__name__}-{m.dim}d")
+def test_every_map_evaluates_a_point_as_a_batch_of_one(m):
+    for x in random_ball_points(np.random.default_rng(2), m.dim, 200):
+        np.testing.assert_array_equal(m(x), m.batch(x[None])[0])
+    outside = np.zeros(m.dim)
+    outside[0] = 1.01
+    with pytest.raises(DomainError, match="outside the unit ball"):
+        m(outside)
 
 
 def covering_probe(points, probes, seed=0):
