@@ -25,7 +25,6 @@ from .geometry import (
     Ball,
     ConvexCombination,
     PointSet,
-    diameter,
     jung_radius,
     min_enclosing_ball,
     regular_simplex_vertices,

@@ -2,7 +2,7 @@
 
 Provides the Jung constant, inscribed regular simplices, point-set
 diameters, exact minimal enclosing balls for small dimensions, validated
-convex combinations, and the ball lattice.
+convex combinations, and the ball lattice and grid with its budget rule.
 
 All operations are pure functions; vectors are plain numpy float arrays
 treated as immutable values.
@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvalidCombinationError, InvalidDimensionError
+from .errors import BudgetExceededError, DomainError
+from .errors import InvalidCombinationError, InvalidDimensionError
 
 # Tolerance for geometric identities (double precision leaves ~6 digits of
 # headroom at desk scale) and for convex-weight normalization.
@@ -26,22 +27,27 @@ TOL_WEIGHTS = 1e-12
 # Every self-map of the ball has image diameter at most 2, so discontinuity
 # scales outside (0, 2] are caller mistakes and are rejected, not clamped.
 EPS_MAX = 2.0
+DEFAULT_BUDGET = 10_000_000  # points in the cube of a ball grid
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "TOL_GEOM",
     "TOL_WEIGHTS",
     "Ball",
     "ConvexCombination",
+    "GridSpec",
     "PointSet",
     "as_points",
     "as_vector",
+    "ball_grid",
     "ball_lattice",
     "check_dim",
     "check_eps",
+    "check_grid_budget",
     "check_in_ball",
     "check_weights",
     "cube_lattice",
-    "diameter",
+    "iter_ball_grid",
     "jung_radius",
     "min_enclosing_ball",
     "pairwise_diameter",
@@ -190,14 +196,7 @@ def regular_simplex_vertices(n: int) -> PointSet:
     return PointSet(verts[order])
 
 
-def diameter(points) -> float:
-    """Diameter of a point configuration (0 for a singleton)."""
-    if isinstance(points, PointSet):
-        return points.diameter
-    return pairwise_diameter(points)
-
-
-# --- ball lattice and sampler ----------------------------------------------
+# --- ball lattice and grid --------------------------------------------------
 
 
 def cube_lattice(axis: np.ndarray, dim: int) -> np.ndarray:
@@ -219,6 +218,59 @@ def ball_lattice(pts: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarra
     shell = np.flatnonzero((norms > 1.0) & (norms <= 1.0 + half_diag))
     return (np.concatenate([inside, shell]),
             np.concatenate([pts[inside], pts[shell] / norms[shell, None]], axis=0))
+
+
+def check_grid_budget(per_axis: int, dim: int, budget: int, what: str = "") -> None:
+    """DomainError for a budget below 1; BudgetExceededError if per_axis^dim exceeds it."""
+    if budget < 1:
+        raise DomainError(f"grid budget must be at least 1, got {budget}")
+    if per_axis ** dim > budget:
+        raise BudgetExceededError(
+            f"grid{what} of {per_axis}^{dim} points exceeds the budget of {budget}",
+            limit=budget, required=per_axis ** dim)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Axis-aligned evaluation grid over [-1, 1]^dim, clipped to the ball."""
+
+    dim: int
+    points_per_axis: int
+
+    def __post_init__(self):
+        check_dim(self.dim)
+        if self.points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be at least 2, got {self.points_per_axis}")
+
+    @property
+    def total_points(self) -> int:
+        return self.points_per_axis ** self.dim
+
+    @property
+    def grid_step(self) -> float:
+        return 2.0 / (self.points_per_axis - 1)
+
+
+def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
+    """Yield the ball lattice of the grid in slabs of constant first
+    coordinate, deterministic order; one slab at a time keeps memory at a
+    slab's size."""
+    check_grid_budget(spec.points_per_axis, spec.dim, budget)
+    axis = np.linspace(-1.0, 1.0, spec.points_per_axis)
+    if spec.dim == 1:
+        yield ball_lattice(axis[:, None], spec.grid_step)[1]
+        return
+    rest = cube_lattice(axis, spec.dim - 1)
+    for x0 in axis:
+        slab = np.concatenate([np.full((rest.shape[0], 1), x0), rest], axis=1)
+        _, chunk = ball_lattice(slab, spec.grid_step)
+        if chunk.shape[0]:
+            yield chunk
+
+
+def ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Materialized grid (use the iterator for large sweeps)."""
+    return np.concatenate(list(iter_ball_grid(spec, budget)), axis=0)
 
 
 def random_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:

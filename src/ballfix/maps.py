@@ -18,14 +18,14 @@ from scipy.spatial import cKDTree
 
 from .errors import BudgetExceededError, DomainError, InvalidDimensionError
 from .geometry import (
+    GridSpec,
     PointSet,
     as_points,
     as_vector,
-    ball_lattice,
+    ball_grid,
     check_dim,
     check_eps,
     check_in_ball,
-    cube_lattice,
     jung_radius,
     pairwise_diameter,
     regular_simplex_vertices,
@@ -47,8 +47,14 @@ __all__ = [
 
 
 class _BallMap:
-    """One point evaluation for every map: the point must lie in the ball,
-    and its image is `batch` of one row."""
+    """Every map's `batch` takes rows of width `dim` (checked by `_rows`),
+    and its one `__call__` takes a point in the ball as a batch of one row."""
+
+    def _rows(self, xs) -> np.ndarray:
+        xs = as_points(xs)
+        if xs.shape[1] != self.dim:
+            raise InvalidDimensionError(f"{xs.shape[1]}-D points for a {self.dim}-D map")
+        return xs
 
     def __call__(self, x) -> np.ndarray:
         return self.batch(check_in_ball(as_vector(x))[None, :])[0]
@@ -88,7 +94,7 @@ class ExtremalMap(_BallMap):
         return self.eps / jung_radius(self.dim)
 
     def batch_index(self, xs: np.ndarray) -> np.ndarray:
-        xs = as_points(xs)
+        xs = self._rows(xs)
         # The sites are unit vectors, so the largest x.v_i is the nearest
         # site.  A computed x.v_i is off by at most about dim * ||x||_1 times
         # half the machine epsilon (|v_ij| <= 1), so two that differ by less
@@ -125,8 +131,7 @@ class ConstantMap(_BallMap):
         return self.value.shape[0]
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = as_points(xs)
-        return np.tile(self.value, (xs.shape[0], 1))
+        return np.tile(self.value, (self._rows(xs).shape[0], 1))
 
     def image_points(self) -> PointSet:
         return PointSet(self.value[None, :])
@@ -138,8 +143,11 @@ class IdentityMap(_BallMap):
 
     dim: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "dim", check_dim(self.dim))
+
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        return as_points(xs).copy()
+        return self._rows(xs).copy()
 
 
 @dataclass(frozen=True)
@@ -185,23 +193,21 @@ class SampledMap(_BallMap):
         return cKDTree(self.points)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        return self.values[self._tree.query(as_points(xs))[1]]
+        return self.values[self._tree.query(self._rows(xs))[1]]
 
     def image_points(self) -> PointSet:
         return PointSet(np.unique(self.values, axis=0))
 
 
 def sample_map_on_grid(f, dim: int, spacing: float, eps: float | None = None) -> SampledMap:
-    """Sample a map on the ball lattice of a uniform axis grid over
-    [-1, 1]^dim (1-D: the full interval).  Covering radius is the
-    half-diagonal of a grid cell."""
-    if spacing <= 0:
-        raise DomainError(f"spacing must be positive, got {spacing}")
-    count = int(np.floor(2.0 / spacing)) + 1
-    axis = np.linspace(-1.0, 1.0, count)
-    step = float(axis[1] - axis[0]) if count > 1 else 2.0
-    _, pts = ball_lattice(cube_lattice(axis, dim), step)
-    return SampledMap(pts, f.batch(pts), covering_radius=step * np.sqrt(dim) / 2.0, eps=eps)
+    """Sample a map on the ball grid of floor(2/spacing) + 1 points per axis
+    (geometry.ball_grid, within its default budget; 1-D: the full
+    interval).  Covering radius is the half-diagonal of a grid cell."""
+    if not 0.0 < spacing <= 2.0:
+        raise DomainError(f"spacing must lie in (0, 2], got {spacing}")
+    spec = GridSpec(dim, int(np.floor(2.0 / spacing)) + 1)
+    pts = ball_grid(spec)
+    return SampledMap(pts, f.batch(pts), spec.grid_step * np.sqrt(dim) / 2.0, eps)
 
 
 @dataclass(frozen=True)

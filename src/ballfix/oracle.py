@@ -1,9 +1,10 @@
 """Independent brute-force verification sweeps.
 
 Everything here stays deliberately separate from the pipeline: exhaustive
-displacement minima over clipped grids, grid-scale modulus estimates,
-randomized nearest-support checks, and tightness reports comparing the
-extremal construction against its theoretical bound.
+displacement minima over the ball grid (built in geometry, and its names
+re-exported here), grid-scale modulus estimates, randomized
+nearest-support checks, and tightness reports comparing the extremal
+construction against its theoretical bound.
 """
 
 from __future__ import annotations
@@ -13,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 from .geometry import (
+    DEFAULT_BUDGET,
     TOL_GEOM,
-    ball_lattice,
-    check_dim,
-    cube_lattice,
+    GridSpec,
+    ball_grid,
+    iter_ball_grid,
     jung_radius,
     pairwise_diameter,
     random_ball_points,
 )
 from .maps import ExtremalMap, neighborhood_diameter
 
-DEFAULT_BUDGET = 10_000_000
 _SET_SIZE = 10  # each Jung trial draws 1.._SET_SIZE points
 
 __all__ = [
@@ -41,54 +42,6 @@ __all__ = [
     "modulus_grid",
     "tightness_report",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned evaluation grid over [-1, 1]^dim, clipped to the ball."""
-
-    dim: int
-    points_per_axis: int
-
-    def __post_init__(self):
-        check_dim(self.dim)
-        if self.points_per_axis < 2:
-            raise ValueError(f"points_per_axis must be at least 2, got {self.points_per_axis}")
-
-    @property
-    def total_points(self) -> int:
-        return self.points_per_axis ** self.dim
-
-    @property
-    def grid_step(self) -> float:
-        return 2.0 / (self.points_per_axis - 1)
-
-
-def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
-    """Yield the ball lattice of the grid in slabs of constant first
-    coordinate, deterministic order; one slab at a time keeps memory at a
-    slab's size."""
-    if budget < 1:
-        raise DomainError(f"grid budget must be at least 1, got {budget}")
-    if spec.total_points > budget:
-        raise BudgetExceededError(
-            f"grid of {spec.points_per_axis}^{spec.dim} points exceeds the budget of {budget}",
-            limit=budget, required=spec.total_points)
-    axis = np.linspace(-1.0, 1.0, spec.points_per_axis)
-    if spec.dim == 1:
-        yield ball_lattice(axis[:, None], spec.grid_step)[1]
-        return
-    rest = cube_lattice(axis, spec.dim - 1)
-    for x0 in axis:
-        slab = np.concatenate([np.full((rest.shape[0], 1), x0), rest], axis=1)
-        _, chunk = ball_lattice(slab, spec.grid_step)
-        if chunk.shape[0]:
-            yield chunk
-
-
-def ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Materialized grid (use the iterator for large sweeps)."""
-    return np.concatenate(list(iter_ball_grid(spec, budget)), axis=0)
 
 
 def displacement_rows(f, spec: GridSpec, budget: int = DEFAULT_BUDGET):
@@ -182,13 +135,14 @@ def jung_random_test(dim: int, trials: int, seed: int = 0) -> JungCounterexample
     return None
 
 
-def modulus_grid(f, r: float, spec: GridSpec, budget: int = DEFAULT_BUDGET) -> float:
+def modulus_grid(f, r: float, spec: GridSpec) -> float:
     """Ball-based modulus estimate on the exhaustive grid: the largest image
     diameter over radius-r neighborhoods of grid points (see
-    maps.neighborhood_diameter; the budget also caps the neighborhood scan).
+    maps.neighborhood_diameter; the default grid budget also caps the
+    neighborhood scan).
     """
     if r <= spec.grid_step:
         raise DomainError(
             f"neighborhood radius {r} must exceed the grid step {spec.grid_step}")
-    pts = ball_grid(spec, budget)
-    return neighborhood_diameter(pts, f.batch(pts), r, budget)
+    pts = ball_grid(spec)
+    return neighborhood_diameter(pts, f.batch(pts), r, DEFAULT_BUDGET)

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
-    BudgetExceededError,
     CertificateError,
     DomainError,
     HypothesisError,
@@ -42,6 +41,7 @@ from .geometry import (
     ball_lattice,
     check_dim,
     check_eps,
+    check_grid_budget,
     check_in_ball,
     cube_lattice,
     check_weights,
@@ -146,15 +146,9 @@ class SampleGrid:
         dim = check_dim(dim)
         if alpha <= 0:
             raise DomainError(f"alpha must be positive, got {alpha}")
-        if max_points < 1:
-            raise DomainError(f"grid budget must be at least 1, got {max_points}")
         spacing = alpha / math.sqrt(dim) / 2.0
         half_count = int(math.ceil(1.0 / spacing))
-        per_axis = 2 * half_count + 1
-        if per_axis ** dim > max_points:
-            raise BudgetExceededError(
-                f"grid for alpha={alpha} needs {per_axis}^{dim} points, over the "
-                f"budget of {max_points}", limit=max_points, required=per_axis ** dim)
+        check_grid_budget(2 * half_count + 1, dim, max_points, f" for alpha={alpha}")
         self.f = f
         self.dim = dim
         self.alpha = float(alpha)
@@ -435,9 +429,14 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
         return None
     if not all(w >= 0.0 for w in weights):
         return None
+    return _barycentre(s, weights, vertices)
+
+
+def _barycentre(h: float, weights: list[float], vertices: list[tuple[int, ...]]) -> list[float]:
+    """h * sum_k w_k x_k / sum_k w_k over the integer vertices x_k of a simplex."""
     total = sum(weights)
-    return [s * sum(w * v[i] for w, v in zip(weights, vertices)) / total
-            for i in range(grid.dim)]
+    return [h * sum(w * x[i] for w, x in zip(weights, vertices)) / total
+            for i in range(len(vertices[0]))]
 
 
 def _start_inverse(weights: list[float], axes: list[int], h: float) -> list[list[float]]:
@@ -493,10 +492,6 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     row_of = list(range(n + 1)) + [-1]
     enter = n + 1
 
-    def zero(weights: list[float]) -> list[float]:
-        total = sum(weights)
-        return [h * sum(w * x[i] for w, x in zip(weights, space)) / total for i in range(n)]
-
     for pivots in range(1, max_pivots + 1):
         a = column(verts[enter])
         d = [sum(map(mul, row, a)) for row in inverse]
@@ -525,7 +520,8 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
         if all(level) or sum(at_top) >= 1.0 - 1e-12:
             tops = [grid.value(tuple(step * x for x in space[r]))
                     for r in range(n + 1) if at_top[r] > 0]
-            return zero(at_top), pivots, True, all(value == tops[0] for value in tops)
+            flat = all(value == tops[0] for value in tops)
+            return _barycentre(h, at_top, space), pivots, True, flat
         leave = row_of.index(r)
         row_of[enter], row_of[leave] = r, -1
         # Replace the leaving vertex (Freudenthal pivot rules).
@@ -543,7 +539,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
             perm[leave - 1], perm[leave] = perm[leave], perm[leave - 1]
             verts[leave] = tuple(map(add, verts[leave - 1], unit[perm[leave - 1]]))
             enter = leave
-    return zero([row[0] for row in inverse]), max(max_pivots, 0), False, False
+    return _barycentre(h, [row[0] for row in inverse], space), max(max_pivots, 0), False, False
 
 
 def extract_certificate(fp: FixedPointResult, grid: SampleGrid,

@@ -13,7 +13,7 @@ import pytest
 
 import ballfix as bf
 from ballfix.cli import main as cli_main
-from ballfix.geometry import TOL_GEOM, random_ball_points
+from ballfix.geometry import TOL_GEOM, pairwise_diameter, random_ball_points
 from ballfix.oracle import GridSpec
 from ballfix.pipeline import averaged_map_eval, build_sample_grid, embed
 
@@ -115,7 +115,7 @@ def test_criterion_5_jung_property_suite():
             assert bf.jung_random_test(dim, trials_per_dim, seed=dim) is None
             for pts in _jung_trial_stream(dim, trials_per_dim, seed=dim):
                 ball = bf.min_enclosing_ball(pts)
-                assert ball.radius <= bf.diameter(pts) / bf.jung_radius(dim) + 1e-9
+                assert ball.radius <= pairwise_diameter(pts) / bf.jung_radius(dim) + 1e-9
 
 
 def test_criterion_6_witness_artifacts():

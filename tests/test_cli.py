@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballfix import oracle, pipeline
+from ballfix import cli, oracle, pipeline
 from ballfix.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -130,6 +130,17 @@ def test_pipeline_schema_example_is_a_real_run(tmp_path):
     out = tmp_path / "cert.json"
     assert run_cli(*argv, "--out", str(out)) == EXIT_OK
     assert out.read_text() == example
+
+
+def test_the_exit_code_table_lists_exactly_the_cli_exit_codes():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "schemas.md").read_text()
+    table = doc.split("## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in table.splitlines() if line.startswith("| ")]
+    codes = [int(code) for code in rows if code.isdigit()]
+    assert len(codes) == len(rows) - 1  # the header is the one row that is not a code
+    exits = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert len(set(exits.values())) == len(exits)
+    assert sorted(codes) == sorted(exits.values())
 
 
 def test_pipeline_hypothesis_exit_code():

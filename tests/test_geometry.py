@@ -11,7 +11,6 @@ from ballfix.geometry import (
     ConvexCombination,
     PointSet,
     check_in_ball,
-    diameter,
     jung_radius,
     min_enclosing_ball,
     pairwise_diameter,
@@ -69,8 +68,8 @@ def test_regular_simplex_gram_and_centroid(n):
 
 
 def test_diameter_examples():
-    assert diameter(np.array([[0.0, 0.0]])) == 0.0
-    assert diameter(np.array([[-1.0], [1.0]])) == pytest.approx(2.0)
+    assert pairwise_diameter(np.array([[0.0, 0.0]])) == 0.0
+    assert pairwise_diameter(np.array([[-1.0], [1.0]])) == pytest.approx(2.0)
     assert regular_simplex_vertices(2).diameter == pytest.approx(
         math.sqrt(3.0), abs=TOL_GEOM)
 
@@ -128,7 +127,7 @@ def test_min_enclosing_ball_random_sets_jung_bound_and_minimality():
         ball = min_enclosing_ball(pts)
         dists = np.linalg.norm(pts - ball.center, axis=1)
         assert dists.max() <= ball.radius + TOL_GEOM          # containment
-        assert ball.radius <= diameter(pts) / jung_radius(dim) + TOL_GEOM
+        assert ball.radius <= pairwise_diameter(pts) / jung_radius(dim) + TOL_GEOM
         if count > 1:
             # shrinking by 10 * TOL_GEOM must exclude at least one point
             assert dists.max() > ball.radius - 10.0 * TOL_GEOM
@@ -202,7 +201,7 @@ def test_jung_nearest_bound_random(seed, dim, count):
     weights = rng.exponential(size=count)
     c = ConvexCombination(points=pts, weights=weights / weights.sum())
     _, dist = jung_nearest(c)
-    assert dist <= diameter(pts) / jung_radius(dim) + TOL_GEOM
+    assert dist <= pairwise_diameter(pts) / jung_radius(dim) + TOL_GEOM
 
 
 @settings(max_examples=100, deadline=None)

@@ -255,6 +255,17 @@ def test_one_dimensional_sampled_map_keeps_the_full_interval(spacing):
     assert np.array_equal(sm.points, np.linspace(-1.0, 1.0, count)[:, None])
 
 
+@pytest.mark.parametrize("dim, spacing", [(1, 0.01), (2, 0.05), (2, 0.3), (3, 0.13)])
+def test_sampled_map_points_are_the_ball_grid(dim, spacing):
+    # one grid over [-1, 1]^n: a sampled map's points are the oracle's
+    # ball grid, slab by slab, and its covering radius the grid's
+    # half-diagonal
+    spec = GridSpec(dim=dim, points_per_axis=math.floor(2.0 / spacing) + 1)
+    sm = sample_map_on_grid(ExtremalMap(dim=dim, eps=1.0), dim, spacing)
+    assert np.array_equal(sm.points, ball_grid(spec))
+    assert sm.covering_radius == spec.grid_step * math.sqrt(dim) / 2.0
+
+
 def direct_scan(points, values, r):
     best = 0.0
     for idx in cKDTree(points).query_ball_point(points, r):

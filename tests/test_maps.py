@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from ballfix import geometry
-from ballfix.errors import DomainError, InvalidDimensionError
-from ballfix.geometry import TOL_GEOM, jung_radius, random_ball_points
+from ballfix.errors import BudgetExceededError, DomainError, InvalidDimensionError
+from ballfix.geometry import DEFAULT_BUDGET, TOL_GEOM, jung_radius, random_ball_points
 from ballfix.maps import (
     ConstantMap,
     ExtremalMap,
@@ -208,11 +208,51 @@ def test_every_map_evaluates_a_point_as_a_batch_of_one(m):
         m(outside)
 
 
+@pytest.mark.parametrize("m", _built_in_maps(), ids=lambda m: f"{type(m).__name__}-{m.dim}d")
+def test_every_map_rejects_points_of_another_dimension(m):
+    # IdentityMap(2) returned a 3-vector, ConstantMap its own value, and
+    # ExtremalMap failed in numpy's matmul
+    for width in {1, m.dim + 1} - {m.dim}:
+        point = np.full(width, 0.1)
+        with pytest.raises(InvalidDimensionError, match=f"{width}-D points for a {m.dim}-D map"):
+            m(point)
+        with pytest.raises(InvalidDimensionError, match=f"{width}-D points for a {m.dim}-D map"):
+            m.batch(np.tile(point, (3, 1)))
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5, True])
+def test_identity_map_rejects_a_bad_dimension(dim):
+    with pytest.raises(InvalidDimensionError):
+        IdentityMap(dim)
+
+
 def covering_probe(points, probes, seed=0):
     """Max distance from `probes` uniform ball points to `points`: the
     covering radius holds on these probes iff it is at least this."""
     probe_points = random_ball_points(np.random.default_rng(seed), points.shape[1], probes)
     return float(cKDTree(points).query(probe_points)[0].max())
+
+
+def test_sampled_map_grid_is_within_the_default_budget():
+    # 201^8 points: numpy's "array is too big" ValueError before the grid
+    # shared the oracle's budget
+    with pytest.raises(BudgetExceededError, match=r"grid of 201\^8 points") as err:
+        sample_map_on_grid(ConstantMap(np.zeros(8)), 8, 0.01)
+    assert err.value.limit == DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize("spacing", [3.0, 2.5, 0.0, -0.1, float("nan")])
+def test_sampled_map_spacing_outside_zero_two_is_a_domain_error(spacing):
+    # spacing 3 in 1-D gave one sample at -1 with covering_radius 1.0, while
+    # +1 is 2 away
+    with pytest.raises(DomainError, match=r"spacing must lie in \(0, 2\]"):
+        sample_map_on_grid(StepMap1D(1.0), 1, spacing)
+
+
+def test_sampled_map_at_the_widest_spacing_covers_the_ball():
+    sm = sample_map_on_grid(ConstantMap(np.zeros(2)), 2, 2.0)
+    assert len(sm) == 4
+    assert covering_probe(sm.points, 2000) <= sm.covering_radius
 
 
 def test_sampled_map_covering_probe():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ballfix import geometry, oracle
 from ballfix.errors import BudgetExceededError, DomainError
 from ballfix.geometry import TOL_GEOM, jung_radius
 from ballfix.maps import ConstantMap, ExtremalMap, IdentityMap, StepMap1D
@@ -23,6 +24,11 @@ def test_grid_spec_properties():
     assert spec.grid_step == pytest.approx(0.2)
     with pytest.raises(ValueError):
         GridSpec(dim=2, points_per_axis=1)
+
+
+def test_the_oracle_grid_is_the_geometry_grid():
+    for name in ("DEFAULT_BUDGET", "GridSpec", "ball_grid", "iter_ball_grid"):
+        assert getattr(oracle, name) is getattr(geometry, name)
 
 
 def test_grid_budget_error():

@@ -97,6 +97,15 @@ def test_build_sample_grid_budget_error():
             build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=budget)
 
 
+def test_sample_grid_over_budget_shares_the_oracle_grid_message():
+    # per axis 2 * ceil(2 sqrt(2) / 0.5) + 1 = 13 vertices
+    with pytest.raises(BudgetExceededError) as err:
+        build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=168)
+    assert str(err.value) == "grid for alpha=0.5 of 13^2 points exceeds the budget of 168"
+    assert (err.value.limit, err.value.required) == (168, 169)
+    assert len(build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=169)) == 0
+
+
 # --- embedding -----------------------------------------------------------------
 
 
