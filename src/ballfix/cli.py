@@ -68,23 +68,20 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def load_sampled_map(path: str) -> maps.SampledMap:
-    """Read the SampledMap JSON record: schema_version, dim, eps,
-    covering_radius, and parallel point/value arrays."""
+    """Read the SampledMap JSON record (schema_version, dim, eps,
+    covering_radius, points, values).  SampledMap checks all but dim and
+    the points' shape, and every rejection names the file."""
     data = Path(path).read_bytes()
     try:
         raw = json.loads(data.decode("utf-8"))
-        dim = int(raw["dim"])
+        dim = check_dim(raw["dim"])
         points = np.asarray(raw["points"], dtype=float)
-        values = np.asarray(raw["values"], dtype=float)
-        covering_radius = float(raw["covering_radius"])
-        eps = None if raw.get("eps") is None else float(raw["eps"])
+        if points.ndim != 2 or points.shape[1] != dim:
+            raise DomainError(f"points must be an (m, {dim}) array")
+        return maps.SampledMap(points, raw["values"], covering_radius=raw["covering_radius"],
+                               eps=raw.get("eps"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sampled-map file {path}: {exc}") from exc
-    if points.ndim != 2 or points.shape[1] != dim or values.shape != points.shape:
-        raise DomainError(
-            f"malformed sampled-map file {path}: points/values must be parallel "
-            f"(m, {dim}) arrays")
-    return maps.SampledMap(points, values, covering_radius=covering_radius, eps=eps)
 
 
 def dump_sampled_map(m: maps.SampledMap, path: str) -> None:
@@ -186,9 +183,7 @@ def _build_map(args):
             if value.shape[0] != args.n:
                 raise DomainError(f"--value must have {args.n} coordinates")
         return maps.ConstantMap(value), args.n, args.eps
-    if name == "identity":
-        return maps.IdentityMap(args.n), args.n, args.eps
-    raise DomainError(f"unknown map {name!r}")
+    return maps.IdentityMap(args.n), args.n, args.eps  # the parser admits no other map
 
 
 def cmd_pipeline(args) -> int:

@@ -243,10 +243,6 @@ class GridSpec:
             raise ValueError(f"points_per_axis must be at least 2, got {self.points_per_axis}")
 
     @property
-    def total_points(self) -> int:
-        return self.points_per_axis ** self.dim
-
-    @property
     def grid_step(self) -> float:
         return 2.0 / (self.points_per_axis - 1)
 
@@ -268,9 +264,9 @@ def iter_ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET):
             yield chunk
 
 
-def ball_grid(spec: GridSpec, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Materialized grid (use the iterator for large sweeps)."""
-    return np.concatenate(list(iter_ball_grid(spec, budget)), axis=0)
+def ball_grid(spec: GridSpec) -> np.ndarray:
+    """Materialized grid within DEFAULT_BUDGET (use the iterator for large sweeps)."""
+    return np.concatenate(list(iter_ball_grid(spec)), axis=0)
 
 
 def random_ball_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -322,12 +318,10 @@ def _welzl(points: np.ndarray, boundary: list[np.ndarray], dim: int) -> tuple[np
             return center, radius
     else:
         center, radius = None, 0.0
-    for i in range(points.shape[0]):
+    for i in range(points.shape[0]):  # as_points leaves at least one, so center is set
         p = points[i]
         if center is None or not _in_ball(center, radius, p):
             center, radius = _welzl(points[:i], boundary + [p], dim)
-    if center is None:  # unreachable for nonempty input
-        raise ValueError("cannot enclose an empty point set")
     return center, radius
 
 
@@ -361,10 +355,6 @@ class ConvexCombination:
         check_weights(w.tolist())
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def support_diameter(self) -> float:
         return pairwise_diameter(self.points)

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BudgetExceededError, DomainError, InvalidDimensionError
 from .geometry import (
+    DEFAULT_BUDGET,
     GridSpec,
     PointSet,
     as_points,
@@ -173,11 +174,11 @@ class SampledMap(_BallMap):
             raise ValueError(f"points shape {pts.shape} != values shape {vals.shape}")
         check_in_ball(pts, "some sample point")
         check_in_ball(vals, "some sample value")
+        object.__setattr__(self, "covering_radius", float(self.covering_radius))
         if not self.covering_radius >= 0:  # NaN too
             raise ValueError(f"covering radius must be nonnegative, got {self.covering_radius}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "covering_radius", float(self.covering_radius))
         if self.eps is not None:
             object.__setattr__(self, "eps", check_eps(self.eps))
 
@@ -236,12 +237,11 @@ def image_diameter(m) -> float:
     raise TypeError(f"no finite image set known for {type(m).__name__}")
 
 
-def neighborhood_diameter(points: np.ndarray, values: np.ndarray, r: float,
-                          budget: int | None = None) -> float:
+def neighborhood_diameter(points: np.ndarray, values: np.ndarray, r: float) -> float:
     """Max over points z of the diameter of the values within distance r
     of z.  Exact from per-value nearest-distance fields for few distinct
     values (the constructed maps); otherwise a direct neighborhood scan of
-    at most `budget` visited points."""
+    at most geometry.DEFAULT_BUDGET (10M) visited points, or BudgetExceededError."""
     distinct, labels = np.unique(values, axis=0, return_inverse=True)
     k = distinct.shape[0]
     if k == 1:
@@ -265,10 +265,10 @@ def neighborhood_diameter(points: np.ndarray, values: np.ndarray, r: float,
     scanned = 0
     for idx in tree.query_ball_point(points, r):
         scanned += len(idx)
-        if budget is not None and scanned > budget:
+        if scanned > DEFAULT_BUDGET:
             raise BudgetExceededError(
-                f"neighborhood scan exceeded the budget of {budget} evaluations",
-                limit=budget, required=scanned)
+                f"neighborhood scan exceeded the budget of {DEFAULT_BUDGET} evaluations",
+                limit=DEFAULT_BUDGET, required=scanned)
         if len(idx) > 1:
             best = max(best, pairwise_diameter(values[idx]))
     return best

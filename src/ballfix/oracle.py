@@ -138,11 +138,10 @@ def jung_random_test(dim: int, trials: int, seed: int = 0) -> JungCounterexample
 def modulus_grid(f, r: float, spec: GridSpec) -> float:
     """Ball-based modulus estimate on the exhaustive grid: the largest image
     diameter over radius-r neighborhoods of grid points (see
-    maps.neighborhood_diameter; the default grid budget also caps the
-    neighborhood scan).
+    maps.neighborhood_diameter, whose scan the default grid budget caps).
     """
     if r <= spec.grid_step:
         raise DomainError(
             f"neighborhood radius {r} must exceed the grid step {spec.grid_step}")
     pts = ball_grid(spec)
-    return neighborhood_diameter(pts, f.batch(pts), r, DEFAULT_BUDGET)
+    return neighborhood_diameter(pts, f.batch(pts), r)

@@ -165,20 +165,30 @@ def _step_map_record(**changes) -> dict:
             "values": [[0.5], [0.5], [0.5], [-0.5], [-0.5]], **changes}
 
 
-def test_pipeline_rejects_a_map_file_with_a_nan_covering_radius(tmp_path, capsys):
+@pytest.mark.parametrize("changes, message", [
     # NaN fails every comparison, so a check of `radius < 0` lets it pass
     # and the run certifies under a covering claim nothing can check
+    ({"covering_radius": math.nan}, "covering radius must be nonnegative, got nan"),
+    ({"eps": "x"}, "could not convert string to float: 'x'"),
+    ({"eps": 3.0}, "discontinuity scale must lie in (0, 2.0], got 3.0"),
+    ({"points": [[-1.0], [-0.5], [0.0], [0.5], [1.5]]},
+     "some sample point of norm 1.5 lies outside the unit ball"),
+    ({"points": [[-1.0], [-0.5], [math.nan], [0.5], [1.0]]}, "point coordinates must be finite"),
+    # int() would truncate or convert these to 1, and the step map certify
+    ({"dim": 1.9}, "dimension must be a positive integer, got 1.9"),
+    ({"dim": True}, "dimension must be a positive integer, got True"),
+    ({"dim": "1"}, "dimension must be a positive integer, got '1'"),
+    ({"dim": 2}, "points must be an (m, 2) array"),
+    ({"points": [-1.0, -0.5, 0.0, 0.5, 1.0]}, "points must be an (m, 1) array"),
+    ({"values": [[0.1]]}, "points shape (5, 1) != values shape (1, 1)"),
+], ids=["nan-covering-radius", "eps-no-number", "eps-above-2", "point-outside-the-ball",
+        "nan-point", "dim-1.9", "dim-true", "dim-string", "dim-2-for-1d-points",
+        "flat-points", "values-not-parallel"])
+def test_a_rejected_map_file_names_itself(tmp_path, capsys, changes, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_step_map_record(covering_radius=math.nan)))
+    bad.write_text(json.dumps(_step_map_record(**changes)))
     assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
-    assert "covering radius must be nonnegative, got nan" in capsys.readouterr().err
-
-
-def test_a_map_file_eps_that_is_no_number_names_the_file(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_step_map_record(eps="x")))
-    assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
-    assert f"malformed sampled-map file {bad}: could not convert" in capsys.readouterr().err
+    assert f"malformed sampled-map file {bad}: {message}" in capsys.readouterr().err
 
 
 def test_a_map_file_that_is_no_json_names_the_file(tmp_path, capsys):

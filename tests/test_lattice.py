@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from ballfix.errors import DomainError
+from ballfix import maps
+from ballfix.errors import BudgetExceededError, DomainError
 from ballfix.geometry import random_ball_points
-from ballfix.maps import ConstantMap, ExtremalMap, neighborhood_diameter, sample_map_on_grid
+from ballfix.maps import (
+    ConstantMap,
+    ExtremalMap,
+    IdentityMap,
+    neighborhood_diameter,
+    sample_map_on_grid,
+)
 from ballfix.oracle import GridSpec, ball_grid, iter_ball_grid
 from ballfix.pipeline import averaged_map_eval, build_sample_grid, embed
 
@@ -291,3 +298,14 @@ def test_neighborhood_diameter_many_values_matches_direct_scan(r):
     values = 0.5 * pts + 0.1 * np.sin(7.0 * pts[:, ::-1])
     assert np.unique(values, axis=0).shape[0] > 64
     assert neighborhood_diameter(pts, values, r) == direct_scan(pts, values, r)
+
+
+def test_the_neighborhood_scan_stops_at_the_grid_budget(monkeypatch):
+    lattice = ball_grid(GridSpec(dim=2, points_per_axis=21))
+    values = IdentityMap(2).batch(lattice)
+    assert np.unique(values, axis=0).shape[0] == 357  # over 64 values: the scan runs
+    assert neighborhood_diameter(lattice, values, 0.25) == direct_scan(lattice, values, 0.25)
+    monkeypatch.setattr(maps, "DEFAULT_BUDGET", 100)
+    with pytest.raises(BudgetExceededError, match="budget of 100 evaluations") as err:
+        neighborhood_diameter(lattice, values, 0.25)
+    assert err.value.limit == 100

@@ -20,7 +20,6 @@ from ballfix.oracle import (
 
 def test_grid_spec_properties():
     spec = GridSpec(dim=2, points_per_axis=11)
-    assert spec.total_points == 121
     assert spec.grid_step == pytest.approx(0.2)
     with pytest.raises(ValueError):
         GridSpec(dim=2, points_per_axis=1)

@@ -373,6 +373,14 @@ def test_run_pipeline_constant_map():
     assert run.displacement_recheck <= run.params.alpha / 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("value", [[1.0, 0.0], [0.6, 0.8]])
+def test_run_pipeline_certifies_a_fixed_point_on_the_sphere(value):
+    # the solver's start at the fixed point lies beyond 1 - 1e-9 and is
+    # scaled back into the ball
+    run = run_pipeline(ConstantMap(np.array(value)), 2, 1.0, 0.9)
+    assert run.displacement_recheck <= run.params.alpha / 2.0
+
+
 def test_run_pipeline_certificate_chain_terms():
     run = run_pipeline(StepMap1D(1.0), 1, 1.0, 0.55)
     params, cert = run.params, run.certificate
