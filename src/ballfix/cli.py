@@ -69,11 +69,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 def load_sampled_map(path: str) -> maps.SampledMap:
     """Read the SampledMap JSON record (schema_version, dim, eps,
-    covering_radius, points, values).  SampledMap checks all but dim and
-    the points' shape, and every rejection names the file."""
+    covering_radius, points, values).  SampledMap checks all but the
+    version, dim and the points' shape, and every rejection names the file."""
     data = Path(path).read_bytes()
     try:
         raw = json.loads(data.decode("utf-8"))
+        version = raw["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:  # not true, 1.0 or "1"
+            raise DomainError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         dim = check_dim(raw["dim"])
         points = np.asarray(raw["points"], dtype=float)
         if points.ndim != 2 or points.shape[1] != dim:

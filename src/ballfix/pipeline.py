@@ -85,10 +85,10 @@ def _check_hypothesis(dim: int, eps: float, eps_prime: float) -> float:
 class PipelineParams:
     """Validated parameter bundle for one pipeline run.
 
-    eps is the discontinuity scale of the input map, eps_prime the
-    displacement bound to certify, gamma the image-diameter slack, alpha
-    the sampling/Rips scale, and fp_tol the fixed-point residual the
-    solver must reach.  The admissibility chain
+    eps is the discontinuity scale of the input map, eps_prime the bound to
+    certify, gamma the image-diameter slack (run_pipeline: an eighth of
+    R*eps_prime - eps), alpha the sampling/Rips scale, and fp_tol the
+    fixed-point residual the solver must reach.  The admissibility chain
 
         (eps + gamma)/R + alpha/2 + fp_tol < eps_prime,   R = jung_radius(dim)
 
@@ -427,9 +427,9 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
         weights = np.linalg.solve(np.array(columns).T, [1.0] + [0.0] * grid.dim).tolist()
     except np.linalg.LinAlgError:  # singular: no unique fixed point here
         return None
-    if not all(w >= 0.0 for w in weights):
+    if not all(w >= -1e-12 for w in weights):  # a 0 on a face solves to about -1e-17: clip
         return None
-    return _barycentre(s, weights, vertices)
+    return _barycentre(s, [max(w, 0.0) for w in weights], vertices)
 
 
 def _barycentre(h: float, weights: list[float], vertices: list[tuple[int, ...]]) -> list[float]:
@@ -604,20 +604,21 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
     """End-to-end certificate search for a map of discontinuity scale eps.
 
     Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
-    maps admit no certificate).  Picks gamma as half the available slack,
-    fp_tol as min(1e-6, gamma/(2R)), and alpha by halving eps until the
-    certificate chain (PipelineParams.chain_bound) closes, then finds a
-    fixed point of the averaged map on the lazy grid.  An eps_prime so
-    close above the bound that gamma rounds to 0, or that no alpha > 0
-    closes the chain, is a HypothesisError: doubles cannot resolve the gap.
-    extract_certificate checks the Jung term on the support at that fixed
-    point; while it fails alpha is halved, until the grid budget stops a
-    map that is not eps-continuous.  The returned certificate's
-    displacement is re-evaluated directly on f, not trusted from grid
-    internals.
+    maps admit no certificate).  Picks gamma as an eighth of the slack
+    R*eps_prime - eps, fp_tol as min(1e-6, gamma/(2R)), and alpha by
+    halving eps until the certificate chain (PipelineParams.chain_bound)
+    closes, alpha/2 taking up to 7/8 of the gap; then finds a fixed point
+    of the averaged map on the lazy grid.  An eps_prime so close above the
+    bound that gamma rounds to 0, or that no alpha > 0 closes the chain, is
+    a HypothesisError: doubles cannot resolve the gap.  extract_certificate
+    checks the Jung term on the support at that fixed point; while it fails
+    alpha is halved, until the grid budget stops a map that is not
+    eps-continuous.  The returned certificate's displacement is re-evaluated
+    directly on f, not trusted from grid internals.
     """
     radius = _check_hypothesis(dim, eps, eps_prime)
-    gamma = (radius * eps_prime - eps) / 2.0
+    # 1/8: the exact Jung check needs margin only for rounding; a failure halves alpha
+    gamma = (radius * eps_prime - eps) / 8.0
     below_precision = (f"eps_prime={eps_prime} exceeds eps/jung_radius(dim)={eps / radius} "
                        "by less than double precision can resolve")
     if not gamma > 0:

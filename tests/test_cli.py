@@ -181,12 +181,17 @@ def _step_map_record(**changes) -> dict:
     ({"dim": 2}, "points must be an (m, 2) array"),
     ({"points": [-1.0, -0.5, 0.0, 0.5, 1.0]}, "points must be an (m, 1) array"),
     ({"values": [[0.1]]}, "points shape (5, 1) != values shape (1, 1)"),
+    # a file of another schema, or of none, is not read as this one
+    ({"schema_version": 99}, "schema_version must be 1, got 99"),
+    ({"schema_version": None}, "'schema_version'"),
 ], ids=["nan-covering-radius", "eps-no-number", "eps-above-2", "point-outside-the-ball",
         "nan-point", "dim-1.9", "dim-true", "dim-string", "dim-2-for-1d-points",
-        "flat-points", "values-not-parallel"])
+        "flat-points", "values-not-parallel", "schema-version-99", "no-schema-version"])
 def test_a_rejected_map_file_names_itself(tmp_path, capsys, changes, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_step_map_record(**changes)))
+    record = {key: value for key, value in _step_map_record(**changes).items()
+              if value is not None}  # None drops the field
+    bad.write_text(json.dumps(record))
     assert run_cli("pipeline", "--map-file", str(bad), "--eps-prime", "0.6") == EXIT_USAGE
     assert f"malformed sampled-map file {bad}: {message}" in capsys.readouterr().err
 
@@ -270,11 +275,11 @@ def _ballfix(*argv):
     # gamma rounds to 0: one ulp above eps/R_3 and eps/R_8
     ("3", "0.6123724356957946", EXIT_HYPOTHESIS, "rounds to 0.0"),
     ("8", "0.6666666666666667", EXIT_HYPOTHESIS, "rounds to 0.0"),
-    # three ulps above eps/R_2: fp_tol and the Jung term already reach eps'
-    ("2", "0.5773502691896261", EXIT_HYPOTHESIS, "no alpha > 0 closes"),
-    # 1.4e-14 above eps/R_2 the chain closes at alpha = 2^-48, on a grid
-    # far over budget
-    ("2", "0.57735026918964", EXIT_BUDGET, "alpha=3.552713678800501e-15"),
+    # the chain closes, on a grid far over budget: three ulps above eps/R_2
+    # at alpha = 2^-52, and 1.4e-14 above it at alpha = 2^-46.  No input is
+    # known to reach "no alpha > 0 closes", so no case tests that exit.
+    ("2", "0.5773502691896261", EXIT_BUDGET, "alpha=2.220446049250313e-16"),
+    ("2", "0.57735026918964", EXIT_BUDGET, "alpha=1.4210854715202004e-14"),
 ])
 def test_near_bound_gaps_exit_without_a_validation_error_or_a_hang(n, eps_prime, code, cause):
     # each exited 2 with a validation error before; deleting that check

@@ -432,6 +432,18 @@ def test_run_pipeline_respects_grid_budget():
         run_pipeline(StepMap1D(1.0), 1, 1.0, 0.5001, grid_budget=1000)
 
 
+def test_the_default_budget_reaches_3d_at_0_65_but_not_4d_at_0_70():
+    # gamma takes an eighth of the gap, so alpha/2 may take up to seven
+    # eighths: 3-D at 0.65 closes the chain at alpha 1/16, a 113^3 cube
+    # within the default budget; 4-D at 0.70 needs alpha 1/16 too, a 129^4
+    # cube over it
+    run = run_pipeline(ExtremalMap(dim=3, eps=1.0), 3, 1.0, 0.65)
+    assert run.params.alpha == 1 / 16
+    assert run.displacement_recheck < 0.65  # a fresh f(z)
+    with pytest.raises(BudgetExceededError, match=r"alpha=0.0625 of 129\^4 points"):
+        run_pipeline(ExtremalMap(dim=4, eps=1.0), 4, 1.0, 0.70)
+
+
 class VoronoiStepMap:
     """Piecewise constant on the Voronoi cells of `sites`: each point takes
     the value of its nearest site."""
