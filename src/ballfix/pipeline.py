@@ -87,8 +87,9 @@ class PipelineParams:
 
     eps is the discontinuity scale of the input map, eps_prime the bound to
     certify, gamma the image-diameter slack (run_pipeline: an eighth of
-    R*eps_prime - eps), alpha the sampling/Rips scale, and fp_tol the
-    fixed-point residual the solver must reach.  The admissibility chain
+    R*eps_prime - eps), alpha the sampling/Rips scale (run_pipeline: at
+    most eps, alpha/2 taking 99% of the room the chain leaves), and fp_tol
+    the fixed-point residual the solver must reach.  The admissibility chain
 
         (eps + gamma)/R + alpha/2 + fp_tol < eps_prime,   R = jung_radius(dim)
 
@@ -605,16 +606,16 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
 
     Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
     maps admit no certificate).  Picks gamma as an eighth of the slack
-    R*eps_prime - eps, fp_tol as min(1e-6, gamma/(2R)), and alpha by
-    halving eps until the certificate chain (PipelineParams.chain_bound)
-    closes, alpha/2 taking up to 7/8 of the gap; then finds a fixed point
-    of the averaged map on the lazy grid.  An eps_prime so close above the
-    bound that gamma rounds to 0, or that no alpha > 0 closes the chain, is
-    a HypothesisError: doubles cannot resolve the gap.  extract_certificate
-    checks the Jung term on the support at that fixed point; while it fails
-    alpha is halved, until the grid budget stops a map that is not
-    eps-continuous.  The returned certificate's displacement is re-evaluated
-    directly on f, not trusted from grid internals.
+    R*eps_prime - eps, fp_tol as min(1e-6, gamma/(2R)), and alpha as 99%
+    of the largest value the certificate chain (PipelineParams.chain_bound)
+    admits, at most eps, halved while rounding keeps the chain open; then
+    finds a fixed point of the averaged map on the lazy grid.  An eps_prime
+    so close above the bound that gamma rounds to 0, or that no alpha > 0
+    closes the chain, is a HypothesisError: doubles cannot resolve the gap.
+    extract_certificate checks the Jung term on the support at that fixed
+    point; while it fails alpha is halved, until the grid budget stops a map
+    that is not eps-continuous.  The returned certificate's displacement is
+    re-evaluated directly on f, not trusted from grid internals.
     """
     radius = _check_hypothesis(dim, eps, eps_prime)
     # 1/8: the exact Jung check needs margin only for rounding; a failure halves alpha
@@ -624,7 +625,8 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
     if not gamma > 0:
         raise HypothesisError(f"{below_precision}: the slack gamma rounds to {gamma}")
     fp_tol = min(1e-6, gamma / (2.0 * radius))
-    alpha = float(eps)
+    room = eps_prime - PipelineParams.chain_bound(dim, eps, gamma, 0.0, fp_tol)
+    alpha = min(float(eps), 0.99 * 2.0 * room)  # 0.99: the 1% absorbs rounding
     while not PipelineParams.chain_bound(dim, eps, gamma, alpha, fp_tol) < eps_prime:
         alpha /= 2.0
         if alpha == 0.0:

@@ -276,10 +276,11 @@ def _ballfix(*argv):
     ("3", "0.6123724356957946", EXIT_HYPOTHESIS, "rounds to 0.0"),
     ("8", "0.6666666666666667", EXIT_HYPOTHESIS, "rounds to 0.0"),
     # the chain closes, on a grid far over budget: three ulps above eps/R_2
-    # at alpha = 2^-52, and 1.4e-14 above it at alpha = 2^-46.  No input is
-    # known to reach "no alpha > 0 closes", so no case tests that exit.
-    ("2", "0.5773502691896261", EXIT_BUDGET, "alpha=2.220446049250313e-16"),
-    ("2", "0.57735026918964", EXIT_BUDGET, "alpha=1.4210854715202004e-14"),
+    # it leaves alpha/2 one ulp of room, and 1.4e-14 above it 1.2e-14.
+    # No input is known to reach "no alpha > 0 closes", so no case tests
+    # that exit.
+    ("2", "0.5773502691896261", EXIT_BUDGET, "alpha=2.19824158875781e-16"),
+    ("2", "0.57735026918964", EXIT_BUDGET, "alpha=2.2861712523081222e-14"),
 ])
 def test_near_bound_gaps_exit_without_a_validation_error_or_a_hang(n, eps_prime, code, cause):
     # each exited 2 with a validation error before; deleting that check

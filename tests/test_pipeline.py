@@ -432,16 +432,51 @@ def test_run_pipeline_respects_grid_budget():
         run_pipeline(StepMap1D(1.0), 1, 1.0, 0.5001, grid_budget=1000)
 
 
-def test_the_default_budget_reaches_3d_at_0_65_but_not_4d_at_0_70():
-    # gamma takes an eighth of the gap, so alpha/2 may take up to seven
-    # eighths: 3-D at 0.65 closes the chain at alpha 1/16, a 113^3 cube
-    # within the default budget; 4-D at 0.70 needs alpha 1/16 too, a 129^4
-    # cube over it
-    run = run_pipeline(ExtremalMap(dim=3, eps=1.0), 3, 1.0, 0.65)
-    assert run.params.alpha == 1 / 16
-    assert run.displacement_recheck < 0.65  # a fresh f(z)
-    with pytest.raises(BudgetExceededError, match=r"alpha=0.0625 of 129\^4 points"):
-        run_pipeline(ExtremalMap(dim=4, eps=1.0), 4, 1.0, 0.70)
+def _alpha_fills_the_chain(params):
+    """alpha is at most eps, closes the certificate chain, and is eps or
+    leaves the chain open at 1.02 alpha: no room is left unused."""
+    def closes(alpha):
+        return PipelineParams.chain_bound(params.dim, params.eps, params.gamma, alpha,
+                                          params.fp_tol) < params.eps_prime
+
+    return (params.alpha <= params.eps and closes(params.alpha)
+            and (params.alpha == params.eps or not closes(1.02 * params.alpha)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 10])
+@pytest.mark.parametrize("gap", [0.05, 1e-6, 1e-12])
+def test_alpha_takes_the_room_the_chain_leaves(dim, gap):
+    # the largest eps/2^k below the room would leave up to half of it unused
+    eps_prime = 1.0 / jung_radius(dim) + gap
+    run = run_pipeline(ExtremalMap(dim=dim, eps=1.0), dim, 1.0, eps_prime, grid_budget=10**1000)
+    assert _alpha_fills_the_chain(run.params)
+    assert run.displacement_recheck < eps_prime
+
+
+def test_near_bound_gaps_raise_a_named_cause_in_every_dimension():
+    # a few ulps above eps/R rounding may leave the chain less room than the
+    # bound says; every such gap must end as a hypothesis or budget failure,
+    # never as a DomainError from an alpha <= 0 or a loop that never ends
+    for dim in range(1, 33):
+        for eps in (0.3, 0.5, 1.0, 1.7, 2.0):
+            f, eps_prime = ExtremalMap(dim=dim, eps=eps), eps / jung_radius(dim)
+            for _ in range(39):
+                eps_prime = math.nextafter(eps_prime, math.inf)
+                with pytest.raises((HypothesisError, BudgetExceededError)):
+                    run_pipeline(f, dim, eps, eps_prime, grid_budget=1)
+
+
+def test_the_default_budget_reaches_2d_at_0_58_and_3d_at_0_65_not_4d_at_0_70():
+    # alpha/2 takes the room the chain leaves: 2-D at 0.58 fits a 1235^2
+    # cube and 3-D at 0.65 a 109^3 cube within the default budget; 4-D and
+    # 5-D at 0.70 still need 71^4 and 97^5 cubes, over it
+    for dim, eps_prime in ((2, 0.58), (3, 0.65)):
+        run = run_pipeline(ExtremalMap(dim=dim, eps=1.0), dim, 1.0, eps_prime)
+        assert _alpha_fills_the_chain(run.params)
+        assert run.displacement_recheck < eps_prime  # a fresh f(z)
+    for dim, side in ((4, 71), (5, 97)):
+        with pytest.raises(BudgetExceededError, match=rf"of {side}\^{dim} points"):
+            run_pipeline(ExtremalMap(dim=dim, eps=1.0), dim, 1.0, 0.70)
 
 
 class VoronoiStepMap:

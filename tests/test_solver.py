@@ -132,7 +132,7 @@ def test_whole_coarse_pool_certifies():
 def test_restart_schedule_certifies_the_fine_contraction_in_few_pivots():
     # certify-fine's quantized contraction over seeds 0-40, two of which
     # stalled under the damped iteration: quartering the spacing per level
-    # takes at most 33 pivots here, halving it at most 39
+    # takes at most 32 pivots here
     for seed in range(41):
         f = quantized_map(np.random.default_rng(seed), 2, 0.1, 0.5, 0.9)
         eps_prime = f.eps / jung_radius(2) + 0.025
