@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Reach of the pipeline: which certificates the default budgets produce,
-and at what cost.
+which a huge grid budget adds, and at what cost.
 
     python bench/reach.py --repeats 3 --out BENCH_pipeline.json
     python bench/reach.py --repeats 1 --check BENCH_pipeline.json
@@ -9,7 +9,14 @@ Cases: the 1-D step map at eps' = 0.51 and 0.55, and the extremal map in
 dims 1-10 at gaps eps' - eps/R_n of 0.05, 0.01, 0.002, 1e-4 and 1e-6, all
 at eps = 1; then the 2-D quantized contraction of the certify-fine
 benchmark workload (perfbench.inputs.quantized_map on seed 0, delta 0.1,
-gains 0.5-0.9) at the same five gaps, whose coarse levels are flat.  Each
+gains 0.5-0.9) at the same five gaps, whose coarse levels are flat.  These
+57 cases run under the default grid budget.  A second block of 30 runs at
+a grid budget of 10**1000, so that the up-front cube check never declines
+and the solver, not the budget, decides the outcome above 3-D: the
+extremal map in 12-, 16- and 24-D at gaps 0.01 and 1e-6, and random
+Voronoi step maps (12 sites drawn uniformly in the ball, each sending its
+cell to a value in a ball of radius eps/2, so eps = 0.8; seeds 0-5) in 4-
+and 8-D at gaps 1e-4 and 1e-8.  Each row records its `grid_budget`.  Each
 case runs `run_pipeline` --repeats times and records its outcome: `ok` (a
 fresh f(z) is displaced by less than eps'), `wrong` (it is not), or the
 cause the pipeline declined with (`budget`,
@@ -21,8 +28,8 @@ certificate.  Exits 1 if any case is `wrong`; any other exception
 propagates.
 
 With --check COMMITTED.json the fresh rows are also compared with a
-committed report, and the run exits 1 when a case's outcome changes, its
-f_evals or a certificate's pivots grow, or an `ok` case's alpha or
+committed report, and the run exits 1 when a case's outcome or grid budget
+changes, its f_evals or a certificate's pivots grow, or an `ok` case's alpha or
 displacement moves (the path draws nothing, so all of these are exact on
 every run).  The report is then written only where --out says.
 """
@@ -52,38 +59,61 @@ from ballfix.errors import (  # noqa: E402
     NoConvergenceError,
     SolverError,
 )
-from ballfix.geometry import jung_radius  # noqa: E402
-from ballfix.maps import ExtremalMap, StepMap1D  # noqa: E402
-from ballfix.pipeline import run_pipeline  # noqa: E402
+from ballfix.geometry import jung_radius, random_ball_points  # noqa: E402
+from ballfix.maps import ExtremalMap, SampledMap, StepMap1D  # noqa: E402
+from ballfix.pipeline import DEFAULT_GRID_BUDGET, run_pipeline  # noqa: E402
 from perfbench.inputs import quantized_map  # noqa: E402
 from perfbench.spans import CountingMap  # noqa: E402
 
 GAPS = (0.05, 0.01, 0.002, 1e-4, 1e-6)
+HUGE_BUDGET = 10**1000  # no cube of vertices exceeds it
 # DomainError: the map or the bound is outside what the pipeline accepts.
 DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergence"),
             (CertificateError, "certificate"), (DomainError, "domain"),
             (SolverError, "solver"))
 
 
+def voronoi_map(seed: int, dim: int, cells: int = 12, eps: float = 0.8) -> SampledMap:
+    """Each point of the ball takes the value of its nearest of `cells`
+    random sites; the values lie in a ball of radius eps/2 inside the unit
+    ball, so every image has diameter at most eps."""
+    rng = np.random.default_rng(seed)
+    center = (1.0 - eps / 2.0) * random_ball_points(rng, dim, 1)
+    values = center + eps / 2.0 * random_ball_points(rng, dim, cells)
+    # any two points of the ball lie within 2 of each other
+    return SampledMap(random_ball_points(rng, dim, cells), values, covering_radius=2.0, eps=eps)
+
+
 def cases():
-    """(name, map, dim, eps_prime) of every case, in report order."""
+    """(name, map, dim, eps_prime, grid_budget) of every case, in report order."""
     for eps_prime in (0.51, 0.55):
-        yield f"step-1d-{eps_prime}", StepMap1D(1.0), 1, eps_prime
+        yield f"step-1d-{eps_prime}", StepMap1D(1.0), 1, eps_prime, DEFAULT_GRID_BUDGET
     for dim in range(1, 11):
         for gap in GAPS:
             yield f"extremal-{dim}d-gap-{gap:g}", ExtremalMap(dim=dim, eps=1.0), dim, \
-                1.0 / jung_radius(dim) + gap
+                1.0 / jung_radius(dim) + gap, DEFAULT_GRID_BUDGET
     contraction = quantized_map(np.random.default_rng(0), 2, 0.1, 0.5, 0.9)
     for gap in GAPS:
-        yield f"contraction-2d-gap-{gap:g}", contraction, 2, contraction.eps / jung_radius(2) + gap
+        yield f"contraction-2d-gap-{gap:g}", contraction, 2, \
+            contraction.eps / jung_radius(2) + gap, DEFAULT_GRID_BUDGET
+    for dim in (12, 16, 24):
+        for gap in (0.01, 1e-6):
+            yield f"extremal-{dim}d-gap-{gap:g}", ExtremalMap(dim=dim, eps=1.0), dim, \
+                1.0 / jung_radius(dim) + gap, HUGE_BUDGET
+    for dim in (4, 8):
+        for gap in (1e-4, 1e-8):
+            for seed in range(6):
+                f = voronoi_map(seed, dim)
+                yield f"voronoi-{dim}d-seed-{seed}-gap-{gap:g}", f, dim, \
+                    f.eps / jung_radius(dim) + gap, HUGE_BUDGET
 
 
-def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:
+def attempt(f, dim: int, eps_prime: float, grid_budget: int) -> tuple[dict, float]:
     """One pipeline run: its record and its wall time."""
     counted = CountingMap(f)
     start = time.perf_counter()
     try:
-        run = run_pipeline(counted, dim, f.eps, eps_prime)
+        run = run_pipeline(counted, dim, f.eps, eps_prime, grid_budget=grid_budget)
     except tuple(error for error, _ in DECLINED) as exc:
         seconds = time.perf_counter() - start
         cause = next(name for error, name in DECLINED if isinstance(exc, error))
@@ -103,12 +133,13 @@ def attempt(f, dim: int, eps_prime: float) -> tuple[dict, float]:
 
 def measure(repeats: int) -> list[dict]:
     rows = []
-    for name, f, dim, eps_prime in cases():
-        records, times = zip(*(attempt(f, dim, eps_prime) for _ in range(repeats)))
+    for name, f, dim, eps_prime, grid_budget in cases():
+        records, times = zip(*(attempt(f, dim, eps_prime, grid_budget) for _ in range(repeats)))
         # the path draws nothing, so every repeat must agree
         if any(record != records[0] for record in records):
             raise RuntimeError(f"{name}: repeats disagree: {records}")
-        rows.append({"case": name, "dim": dim, "eps_prime": eps_prime, **records[0],
+        rows.append({"case": name, "dim": dim, "eps_prime": eps_prime,
+                     "grid_budget": grid_budget, **records[0],
                      "wall_s": statistics.median(times)})
         print(f"{name:28s} {records[0]['outcome']:15s} {statistics.median(times):.4f} s",
               file=sys.stderr)
@@ -118,10 +149,11 @@ def measure(repeats: int) -> list[dict]:
 def check(rows: list[dict], committed: list[dict]) -> list[str]:
     """Each way the fresh rows depart from the committed ones."""
     fresh, committed = ({row["case"]: row for row in table} for table in (rows, committed))
-    problems = [f"{case}: outcome committed {committed.get(case, {}).get('outcome')}, "
-                f"fresh {fresh.get(case, {}).get('outcome')}"
+    problems = [f"{case}: {key} committed {committed.get(case, {}).get(key)}, "
+                f"fresh {fresh.get(case, {}).get(key)}"
                 for case in sorted(fresh.keys() | committed.keys())
-                if fresh.get(case, {}).get("outcome") != committed.get(case, {}).get("outcome")]
+                for key in ("outcome", "grid_budget")
+                if fresh.get(case, {}).get(key) != committed.get(case, {}).get(key)]
     for case in sorted(fresh.keys() & committed.keys()):
         old, new = committed[case], fresh[case]
         # pivots are recorded for certificates only

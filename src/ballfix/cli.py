@@ -11,6 +11,7 @@ meanings are tabled in docs/schemas.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -367,9 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except HypothesisError as exc:

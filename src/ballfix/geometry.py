@@ -75,8 +75,8 @@ def check_in_ball(points, what: str = "point") -> np.ndarray:
     """The points (a vector or rows) as floats; DomainError if any lies
     outside the unit ball by more than TOL_GEOM.  NaN fails too."""
     arr = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(arr, axis=-1)
-    if not np.all(norms <= 1.0 + TOL_GEOM):
+    norms = np.sqrt((arr * arr).sum(-1))  # np.linalg.norm's own sum, so its bits
+    if not (norms <= 1.0 + TOL_GEOM).all():
         raise DomainError(f"{what} of norm {float(np.max(norms))} lies outside the unit ball")
     return arr
 
@@ -88,7 +88,7 @@ def as_vector(coords) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise InvalidDimensionError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector coordinates must be finite")
     return v
 

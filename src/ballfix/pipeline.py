@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -177,25 +178,28 @@ class SampleGrid:
         projections of the new ones."""
         keys = [tuple(k) for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks)]
         slots = [self._slots.get(key, -1) for key in keys]
-        new = [i for i, slot in enumerate(slots) if slot < 0]
-        if new:
-            rows = [[k * self.spacing for k in keys[i]] for i in new]
-            pts = np.array(rows)
-            if any(math.hypot(*row) > 1.0 - 1e-9 for row in rows):  # numpy's norm, for its bits
-                pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
-            values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape).tolist()
-            if not all(math.hypot(*row) <= 1.0 + TOL_GEOM for row in values):  # NaN too
-                raise DomainError("some sample value lies outside the unit ball")
-            for i, slot in zip(new, range(len(self), len(self) + len(new))):
-                slots[i] = self._slots[keys[i]] = slot
-            self._point_rows += pts.tolist()
-            self._rows += values
+        if -1 in slots:
+            self._sample([key for key, slot in zip(keys, slots) if slot < 0])
+            slots = [self._slots[key] for key in keys]
         return np.array(slots)
 
+    def _sample(self, keys: list[tuple[int, ...]]) -> None:
+        """Slot the new distinct vertices `keys`, f evaluated in one batch."""
+        rows = [[k * self.spacing for k in key] for key in keys]
+        pts = np.array(rows)
+        if any(math.hypot(*row) > 1.0 - 1e-9 for row in rows):  # numpy's norm, for its bits
+            pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
+        values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape).tolist()
+        if not all(math.hypot(*row) <= 1.0 + TOL_GEOM for row in values):  # NaN too
+            raise DomainError("some sample value lies outside the unit ball")
+        self._slots.update(zip(keys, range(len(self), len(self) + len(keys))))
+        self._point_rows += pts.tolist()
+        self._rows += values
+
     def value(self, key: tuple[int, ...]) -> list[float]:
-        """The value row of the vertex with integer row `key`, touched if new."""
+        """The value row of the vertex with integer row `key`, sampled if new."""
         if key not in self._slots:
-            self.touch([key])
+            self._sample([key])
         return self._rows[self._slots[key]]
 
     def materialize(self) -> SampleGrid:
@@ -280,31 +284,37 @@ def _kuhn_simplex(u: list[float]) -> tuple[list[tuple[int, ...]], list[int], lis
     vertices, from the base floor(u) one unit step along each axis in
     decreasing order of the fractional parts f of u; those axes; and the
     barycentric weights of u, 1 - f_(1), f_(1) - f_(2), ..., f_(n)."""
-    vertex = [math.floor(x) for x in u]
-    frac = [x - k for x, k in zip(u, vertex)]
-    axes = sorted(range(len(u)), key=lambda i: -frac[i])
+    vertex = list(map(math.floor, u))
+    frac = list(map(sub, u, vertex))
+    axes = sorted(range(len(u)), key=frac.__getitem__, reverse=True)  # stable: ties keep order
     vertices = [tuple(vertex)]
     for axis in axes:
         vertex[axis] += 1
         vertices.append(tuple(vertex))
-    descending = [1.0] + [frac[i] for i in axes] + [0.0]
-    return vertices, axes, [a - b for a, b in zip(descending, descending[1:])]
+    descending = [1.0, *map(frac.__getitem__, axes), 0.0]
+    return vertices, axes, list(map(sub, descending, descending[1:]))
 
 
 def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     """Barycentric embedding of y into the Kuhn triangulation of the grid.
 
-    The simplex holding u = y/s and the barycentric weights of u there come
-    from _kuhn_simplex.  Vertices of weight 0 are dropped,
-    so the embedding is continuous in y.  The grid keeps the last
-    embedding, which the certificate reuses for the fixed point.
+    y must be a finite vector of the grid's dimension in the unit ball,
+    checked as as_vector and check_in_ball check it and with their errors;
+    a float row of norm at most 1 (math.hypot) passes at once.  The simplex
+    holding u = y/s and the barycentric weights of u there come from
+    _kuhn_simplex.  Vertices of weight 0 are dropped, so the embedding is
+    continuous in y.  The grid keeps the last embedding, which the
+    certificate reuses for the fixed point.
     """
-    y = tuple(as_vector(y).tolist())
+    fast = type(y) is np.ndarray and y.dtype == float and y.ndim == 1
+    y = tuple((y if fast else as_vector(y)).tolist())
     if y == grid._embedded[0]:
         return grid._embedded[1]
-    if len(y) != grid.dim:
-        raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
-    check_in_ball(y, "embedded point")
+    if len(y) != grid.dim or not math.hypot(*y) <= 1.0:  # NaN too
+        as_vector(y)  # its errors come first
+        if len(y) != grid.dim:
+            raise InvalidDimensionError(f"point of dimension {len(y)} for a {grid.dim}-D grid")
+        check_in_ball(y, "embedded point")
     vertices, _, weights = _kuhn_simplex([x / grid.spacing for x in y])
     kept = [j for j, w in enumerate(weights) if w > 0.0]
     support = grid.touch([vertices[j] for j in kept])
@@ -390,10 +400,10 @@ def find_fixed_point(F, grid: SampleGrid,
             c = (np.array(c) / max(1.0, float(np.linalg.norm(c)))).tolist()
         return c
 
-    top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
-    pending = sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
     y, pivots, reached = [0.0] * n, 0, True
     direct = _kuhn_fixed_point(grid, start(y, 1))
+    top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
+    pending = [] if direct else sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
     while pending and direct is None and reached:
         step = pending.pop()
         y, used, reached, flat = _merrill_path(grid, step, start(y, step), max_pivots - pivots)
@@ -401,7 +411,8 @@ def find_fixed_point(F, grid: SampleGrid,
         if reached and flat and pending:
             direct = _kuhn_fixed_point(grid, start(y, 1))
     y = np.array(y if direct is None else direct)
-    residual = float(np.linalg.norm(F(y) - y))
+    r = F(y) - y
+    residual = math.sqrt(r.dot(r))  # np.linalg.norm's own formula, so its bits
     if not reached:
         raise NoConvergenceError(
             f"fixed-point path exhausted {max_pivots} pivots; residual {residual:.3g} "
@@ -417,27 +428,24 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
     [1 ... 1; v_k - s x_k] lambda = e_0 over the simplex's vertices s x_k
     and their values v_k, the system of Merrill's final basis; y lies in
     the simplex when the system is nonsingular and every lambda_k >= 0.
-    f is evaluated at the vertices in one batch.  numpy's LAPACK solves the
-    system, as it inverts the path's basis at each refactorization, so the
-    last bits of y are numpy's, like those of averaged_map_eval's product."""
+    f is evaluated at the vertices in one batch.  scipy's LAPACK (dgesv: LU
+    with partial pivoting) solves the system, so the last bits of y are
+    scipy's; numpy's inverts the path's basis at each refactorization."""
     s = grid.spacing
     vertices, _, _ = _kuhn_simplex([x / s for x in c])
     values = [grid._rows[k] for k in grid.touch(vertices).tolist()]
     columns = [[1.0] + [t - s * x for t, x in zip(value, v)] for value, v in zip(values, vertices)]
-    try:
-        weights = np.linalg.solve(np.array(columns).T, [1.0] + [0.0] * grid.dim).tolist()
-    except np.linalg.LinAlgError:  # singular: no unique fixed point here
+    _, _, weights, info = dgesv(np.array(columns).T, [1.0] + [0.0] * grid.dim)
+    # singular (info != 0), or outside; a 0 on a face solves to about -1e-17: clip
+    if info != 0 or not all(w >= -1e-12 for w in weights.tolist()):
         return None
-    if not all(w >= -1e-12 for w in weights):  # a 0 on a face solves to about -1e-17: clip
-        return None
-    return _barycentre(s, [max(w, 0.0) for w in weights], vertices)
+    return _barycentre(s, [max(w, 0.0) for w in weights.tolist()], vertices)
 
 
 def _barycentre(h: float, weights: list[float], vertices: list[tuple[int, ...]]) -> list[float]:
     """h * sum_k w_k x_k / sum_k w_k over the integer vertices x_k of a simplex."""
     total = sum(weights)
-    return [h * sum(w * x[i] for w, x in zip(weights, vertices)) / total
-            for i in range(len(vertices[0]))]
+    return [h * sum(map(mul, weights, column)) / total for column in zip(*vertices)]
 
 
 def _start_inverse(weights: list[float], axes: list[int], h: float) -> list[list[float]]:
@@ -563,7 +571,7 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     weights, support = emb.weights.tolist(), emb.support.tolist()
     check_weights(weights)
     rows = [grid._rows[k] for k in support]
-    image = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(grid.dim)]
+    image = [sum(map(mul, weights, column)) for column in zip(*rows)]
     distances = [math.dist(row, image) for row in rows]
     jung_term = min(distances)
     if not jung_term <= params.jung_term_bound:
@@ -620,17 +628,19 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
     radius = _check_hypothesis(dim, eps, eps_prime)
     # 1/8: the exact Jung check needs margin only for rounding; a failure halves alpha
     gamma = (radius * eps_prime - eps) / 8.0
-    below_precision = (f"eps_prime={eps_prime} exceeds eps/jung_radius(dim)={eps / radius} "
-                       "by less than double precision can resolve")
+
+    def below_precision(why: str) -> HypothesisError:  # formatted only when raised
+        return HypothesisError(f"eps_prime={eps_prime} exceeds eps/jung_radius(dim)={eps / radius} "
+                               f"by less than double precision can resolve: {why}")
     if not gamma > 0:
-        raise HypothesisError(f"{below_precision}: the slack gamma rounds to {gamma}")
+        raise below_precision(f"the slack gamma rounds to {gamma}")
     fp_tol = min(1e-6, gamma / (2.0 * radius))
     room = eps_prime - PipelineParams.chain_bound(dim, eps, gamma, 0.0, fp_tol)
     alpha = min(float(eps), 0.99 * 2.0 * room)  # 0.99: the 1% absorbs rounding
     while not PipelineParams.chain_bound(dim, eps, gamma, alpha, fp_tol) < eps_prime:
         alpha /= 2.0
         if alpha == 0.0:
-            raise HypothesisError(f"{below_precision}: no alpha > 0 closes the certificate chain")
+            raise below_precision("no alpha > 0 closes the certificate chain")
     while True:
         params = PipelineParams(dim=dim, eps=eps, eps_prime=eps_prime,
                                 gamma=gamma, alpha=alpha, fp_tol=fp_tol)

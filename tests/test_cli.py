@@ -537,6 +537,23 @@ def test_outputs_match_the_recorded_bytes(tmp_path):
     assert pinned_outputs(tmp_path) == json.loads(CLI_OUTPUTS.read_text())
 
 
+def test_main_builds_its_parser_once(monkeypatch):
+    # main parses with one parser per process; its bytes stay as pinned
+    cli._parser.cache_clear()
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    recorded = json.loads(CLI_OUTPUTS.read_text())
+    for argv in (("radius", "--n", "4"), ("figure", "--eps", "1"),
+                 ("pipeline", "--map", "step", "--eps", "1", "--eps-prime", "0.55")):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run_cli(*argv, "--out", "-")
+        digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        assert {"exit": code, "stdout_sha256": digest} == recorded[" ".join(argv)]
+    assert built == [1]
+    assert real() is not real()  # the public builder stays uncached
+
+
 @pytest.mark.parametrize("argv", DETERMINISM_ARGV)
 def test_outputs_byte_identical_across_runs(tmp_path, argv):
     first = tmp_path / "first.out"

@@ -10,6 +10,7 @@ from ballfix.geometry import (
     TOL_GEOM,
     ConvexCombination,
     PointSet,
+    as_vector,
     check_in_ball,
     jung_radius,
     min_enclosing_ball,
@@ -229,3 +230,28 @@ def test_check_in_ball_takes_a_vector_or_rows():
         check_in_ball(np.array([[0.0, 0.5], [0.0, 2.0]]), "some value")
     with pytest.raises(DomainError, match="norm nan"):
         check_in_ball([float("nan"), 0.0])
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (17,), (5, 2), (40, 7)])
+def test_check_in_ball_reports_numpys_norm_to_the_last_bit(shape):
+    # the check sums squares as np.linalg.norm does, so the reported norm
+    # is numpy's, bit for bit
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1.0 + 2e-9, 1.5, 3.0):
+        arr = rng.standard_normal(shape)
+        arr *= scale / np.max(np.linalg.norm(arr, axis=-1))
+        with pytest.raises(DomainError) as exc:
+            check_in_ball(arr)
+        assert str(exc.value) == (f"point of norm {float(np.max(np.linalg.norm(arr, axis=-1)))} "
+                                  "lies outside the unit ball")
+
+
+@pytest.mark.parametrize("coords", [[1e200, -1e200], [1.7e308], [0.0, 1e-320], 0.5])
+def test_as_vector_passes_finite_coordinates_whose_squares_overflow(coords):
+    np.testing.assert_array_equal(as_vector(coords), np.atleast_1d(np.asarray(coords, float)))
+
+
+@pytest.mark.parametrize("coords", [[1e200, math.nan], [math.inf], [-math.inf, 0.0], [math.nan]])
+def test_as_vector_rejects_every_non_finite_coordinate(coords):
+    with pytest.raises(ValueError, match="vector coordinates must be finite"):
+        as_vector(coords)

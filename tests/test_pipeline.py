@@ -169,6 +169,43 @@ def test_embed_rejects_wrong_dimension():
         embed(np.zeros(1), _coarse_grid(alpha=0.2))
 
 
+# Each bad point, the error that as_vector and check_in_ball raise for it
+# and its message, on a 2-D grid: embed runs those checks only off its
+# fast path, and must raise the same.
+_BAD_POINTS = {
+    "nan": ([math.nan, 0.0], ValueError, "vector coordinates must be finite"),
+    "inf": ([0.0, -math.inf], ValueError, "vector coordinates must be finite"),
+    "nan-and-3d": ([math.nan, 0.0, 0.0], ValueError, "vector coordinates must be finite"),
+    "norm-1+2e-9": ([1.0 + 2e-9, 0.0], DomainError,
+                    "embedded point of norm 1.000000002 lies outside the unit ball"),
+    "3d": ([0.1, 0.2, 0.3], InvalidDimensionError, "point of dimension 3 for a 2-D grid"),
+    "row": ([[0.1, 0.2]], InvalidDimensionError, "expected a 1-D vector, got shape (1, 2)"),
+    "empty": ([], InvalidDimensionError, "expected a 1-D vector, got shape (0,)"),
+}
+
+
+@pytest.mark.parametrize("evaluate", [embed, averaged_map_eval])
+@pytest.mark.parametrize("name", _BAD_POINTS)
+def test_embed_raises_the_checks_errors_and_samples_nothing(evaluate, name):
+    point, error, message = _BAD_POINTS[name]
+    grid = _coarse_grid(alpha=0.2)
+    for y in (np.array(point), point):
+        with pytest.raises(error) as exc:
+            evaluate(y, grid)
+        assert type(exc.value) is error and str(exc.value) == message
+    assert len(grid) == 0
+
+
+def test_embed_takes_a_point_just_outside_the_sphere_within_tol_geom():
+    # norm 1 + TOL_GEOM/2: past the fast path's norm 1, within check_in_ball's bound
+    grid = _coarse_grid(alpha=0.2)
+    y = np.array([0.0, 1.0 + TOL_GEOM / 2.0])
+    emb = embed(y, grid)
+    assert emb.weights.sum() == pytest.approx(1.0)
+    assert embed(y.tolist(), grid) is emb
+    np.testing.assert_allclose(averaged_map_eval(y, grid), y, atol=grid.alpha)
+
+
 def test_embed_weights_and_support_on_random_probes():
     grid = build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.25)
     rng = np.random.default_rng(11)
@@ -379,6 +416,52 @@ def test_run_pipeline_certifies_a_fixed_point_on_the_sphere(value):
     # scaled back into the ball
     run = run_pipeline(ConstantMap(np.array(value)), 2, 1.0, 0.9)
     assert run.displacement_recheck <= run.params.alpha / 2.0
+
+
+class CallReturns:
+    """The constant map of (0.1, 0.2) in batch, whose __call__ (the
+    pipeline's recheck of f(z)) returns `value` instead."""
+
+    dim, eps = 2, 1.0
+
+    def __init__(self, value):
+        self.value = value
+
+    def batch(self, xs):
+        return np.tile([0.1, 0.2], (len(xs), 1))
+
+    def __call__(self, x):
+        return self.value
+
+
+def _dist_error() -> str:
+    with pytest.raises(ValueError) as exc:
+        math.dist([0.0, 0.0, 0.0], [0.0, 0.0])
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (np.array([math.nan, 0.2]), ValueError, "vector coordinates must be finite"),
+    (np.array([0.1, math.inf]), ValueError, "vector coordinates must be finite"),
+    (np.array([math.nan, 0.2, 0.0]), ValueError, "vector coordinates must be finite"),
+    (np.array([[0.1, 0.2]]), InvalidDimensionError, "expected a 1-D vector, got shape (1, 2)"),
+    (np.array([0.1, 0.2, 0.0]), ValueError, None),
+    ([0.1, 0.2, 0.0], ValueError, None),
+], ids=["nan", "inf", "nan-and-3d", "row", "3d", "3d-list"])
+def test_a_recheck_of_f_z_that_is_no_finite_point_raises(value, error, message):
+    with pytest.raises(error) as exc:
+        run_pipeline(CallReturns(value), 2, 1.0, 0.8)
+    assert type(exc.value) is error
+    assert str(exc.value) == (_dist_error() if message is None else message)
+
+
+@pytest.mark.parametrize("value", [np.array([0.1, 0.2]), [0.1, 0.2], (0.1, 0.2),
+                                   np.array([0.1, 0.2], dtype=np.float32)])
+def test_the_recheck_reads_f_z_as_as_vector_does(value):
+    run = run_pipeline(CallReturns(value), 2, 1.0, 0.8)
+    z = run.certificate.z.tolist()
+    fz = np.asarray(value, dtype=float).tolist()
+    assert run.displacement_recheck == math.dist(fz, z)
 
 
 def test_run_pipeline_certificate_chain_terms():
