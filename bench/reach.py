@@ -10,10 +10,11 @@ dims 1-10 at gaps eps' - eps/R_n of 0.05, 0.01, 0.002, 1e-4 and 1e-6, all
 at eps = 1; then the 2-D quantized contraction of the certify-fine
 benchmark workload (perfbench.inputs.quantized_map on seed 0, delta 0.1,
 gains 0.5-0.9) at the same five gaps, whose coarse levels are flat.  These
-57 cases run under the default grid budget.  A second block of 30 runs at
+57 cases run under the default grid budget.  A second block of 41 runs at
 a grid budget of 10**1000, so that the up-front cube check never declines
 and the solver, not the budget, decides the outcome above 3-D: the
-extremal map in 12-, 16- and 24-D at gaps 0.01 and 1e-6, and random
+extremal map in 12-, 16-, 24- and 32-D at gaps 0.01, 1e-6, 1e-10 and
+1e-12 and in 48-D at gap 0.01 (HUGE_EXTREMAL_GAPS), and random
 Voronoi step maps (12 sites drawn uniformly in the ball, each sending its
 cell to a value in a ball of radius eps/2, so eps = 0.8; seeds 0-5) in 4-
 and 8-D at gaps 1e-4 and 1e-8.  Each row records its `grid_budget`.  Each
@@ -67,6 +68,10 @@ from perfbench.spans import CountingMap  # noqa: E402
 
 GAPS = (0.05, 0.01, 0.002, 1e-4, 1e-6)
 HUGE_BUDGET = 10**1000  # no cube of vertices exceeds it
+# The extremal rows run at HUGE_BUDGET: dimension -> gaps.
+HUGE_EXTREMAL_GAPS = {12: (0.01, 1e-6, 1e-10, 1e-12), 16: (0.01, 1e-6, 1e-10, 1e-12),
+                      24: (0.01, 1e-6, 1e-10, 1e-12), 32: (0.01, 1e-6, 1e-10, 1e-12),
+                      48: (0.01,)}
 # DomainError: the map or the bound is outside what the pipeline accepts.
 DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergence"),
             (CertificateError, "certificate"), (DomainError, "domain"),
@@ -96,8 +101,8 @@ def cases():
     for gap in GAPS:
         yield f"contraction-2d-gap-{gap:g}", contraction, 2, \
             contraction.eps / jung_radius(2) + gap, DEFAULT_GRID_BUDGET
-    for dim in (12, 16, 24):
-        for gap in (0.01, 1e-6):
+    for dim, gaps in HUGE_EXTREMAL_GAPS.items():
+        for gap in gaps:
             yield f"extremal-{dim}d-gap-{gap:g}", ExtremalMap(dim=dim, eps=1.0), dim, \
                 1.0 / jung_radius(dim) + gap, HUGE_BUDGET
     for dim in (4, 8):

@@ -59,5 +59,5 @@ class CertificateError(BallfixError, RuntimeError):
 
 
 class SolverError(BallfixError, RuntimeError):
-    """The fixed-point solver returned a point whose residual exceeds
-    fp_tol: a fault of the solver, not of the input."""
+    """A fault of the fixed-point solver, not of the input: a path's basis
+    is singular, or the point returned has a residual above fp_tol."""

@@ -360,10 +360,6 @@ def averaged_map_eval(y, grid: SampleGrid) -> np.ndarray:
     return emb.weights @ np.array([grid._rows[k] for k in emb.support.tolist()])
 
 
-# Refactorize the basis inverse after this many rank-1 updates.
-_REFACTOR_EVERY = 64
-
-
 def find_fixed_point(F, grid: SampleGrid,
                      max_pivots: int = DEFAULT_EVAL_BUDGET) -> FixedPointResult:
     """A fixed point of the averaged map F of the grid, exact up to
@@ -428,36 +424,30 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
     [1 ... 1; v_k - s x_k] lambda = e_0 over the simplex's vertices s x_k
     and their values v_k, the system of Merrill's final basis; y lies in
     the simplex when the system is nonsingular and every lambda_k >= 0.
-    f is evaluated at the vertices in one batch.  scipy's LAPACK (dgesv: LU
-    with partial pivoting) solves the system, so the last bits of y are
-    scipy's; numpy's inverts the path's basis at each refactorization."""
+    f is evaluated at the vertices in one batch.  _lu_solve solves the system,
+    as it does the path's basis at every pivot, so the last bits of y are
+    those of scipy's LAPACK."""
     s = grid.spacing
     vertices, _, _ = _kuhn_simplex([x / s for x in c])
     values = [grid._rows[k] for k in grid.touch(vertices).tolist()]
     columns = [[1.0] + [t - s * x for t, x in zip(value, v)] for value, v in zip(values, vertices)]
-    _, _, weights, info = dgesv(np.array(columns).T, [1.0] + [0.0] * grid.dim)
-    # singular (info != 0), or outside; a 0 on a face solves to about -1e-17: clip
-    if info != 0 or not all(w >= -1e-12 for w in weights.tolist()):
+    weights = _lu_solve(np.array(columns).T, [1.0] + [0.0] * grid.dim)
+    # singular, or outside; a 0 on a face solves to about -1e-17: clip
+    if weights is None or not all(w >= -1e-12 for w in weights.tolist()):
         return None
     return _barycentre(s, [max(w, 0.0) for w in weights.tolist()], vertices)
+
+
+def _lu_solve(a: np.ndarray, b) -> np.ndarray | None:
+    """x with a x = b by scipy's LAPACK dgesv (LU, partial pivoting); None if a is singular."""
+    _, _, x, info = dgesv(a, b)
+    return x if info == 0 else None
 
 
 def _barycentre(h: float, weights: list[float], vertices: list[tuple[int, ...]]) -> list[float]:
     """h * sum_k w_k x_k / sum_k w_k over the integer vertices x_k of a simplex."""
     total = sum(weights)
     return [h * sum(map(mul, weights, column)) / total for column in zip(*vertices)]
-
-
-def _start_inverse(weights: list[float], axes: list[int], h: float) -> list[list[float]]:
-    """The inverse of the basis [1; c - h x_k] of the Kuhn simplex of c
-    (x_k = x_(k-1) + e_(axes[k-1]), `weights` the barycentric weights of
-    c/h there): the barycentric map, whose first column holds the weights,
-    and whose other entries are 0, +-1/h."""
-    n = len(axes)
-    inverse = [[w] + [0.0] * n for w in weights]
-    for k, axis in enumerate(axes):
-        inverse[k][1 + axis], inverse[k + 1][1 + axis] = 1.0 / h, -1.0 / h
-    return inverse
 
 
 def _merrill_path(grid: SampleGrid, step: int, c: list[float],
@@ -491,41 +481,48 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
         top = grid.value(tuple(step * x for x in v[:n])) if v[n] else c
         return [1.0] + [t - h * x for t, x in zip(top, v[:n])]
 
-    # The basis: the inverse of its [1; label] columns (row r for column r),
-    # and the space part and level of the vertex behind each column; row_of
+    # The basis: its [1; label] columns, the first n + 1 those of the Kuhn
+    # simplex of c, whose zero has the barycentric weights of c/h there; and
+    # the space part and level of the vertex behind each column.  row_of
     # maps simplex positions to columns (-1 for the vertex about to enter).
-    # Small dense algebra in plain Python: cheaper than numpy calls here.
-    inverse = _start_inverse(weights, axes, h)
+    basis = np.array([column(v) for v in verts[:n + 1]]).T
+    rhs = np.eye(n + 1, 2)  # columns e_0 and, at each pivot, the entering a
     space = [v[:n] for v in verts[:n + 1]]
     level = [0] * (n + 1)
     row_of = list(range(n + 1)) + [-1]
     enter = n + 1
 
     for pivots in range(1, max_pivots + 1):
-        a = column(verts[enter])
-        d = [sum(map(mul, row, a)) for row in inverse]
+        rhs[:, 1] = a = column(verts[enter])
+        # The zero's weights w = B^-1 e_0 and d = B^-1 a, from a fresh LU of
+        # the basis B at every pivot: an inverse carried from pivot to pivot
+        # drifts, as the basis has condition about 1/h.
+        solved = _lu_solve(basis, rhs)
+        if solved is None:
+            raise SolverError(f"singular basis at pivot {pivots} of a path of spacing {h:g}")
+        w, d = solved.T.tolist()
         tol = 1e-12 * max(map(abs, d))
         # Lexicographic ratio test, exact in floats: the lexicographically
-        # smallest row of the inverse over its entry of d, its first entry
-        # deciding unless tied.
-        ratios = {i: inverse[i][0] / d[i] for i in range(n + 1) if d[i] > tol}
+        # smallest row of B^-1 over its entry of d, its first entry (that of
+        # w) deciding unless tied.
+        ratios = {i: w[i] / d[i] for i in range(n + 1) if d[i] > tol}
         least = min(ratios.values())
         tied = [i for i, q in ratios.items() if q == least]
-        r = min(tied, key=lambda i: [x / d[i] for x in inverse[i]]) if tied[1:] else tied[0]
-        pivot_row = [x / d[r] for x in inverse[r]]
-        inverse = [[x - di * p for x, p in zip(row, pivot_row)] for row, di in zip(inverse, d)]
-        inverse[r] = pivot_row
+        r = tied[0]
+        if tied[1:]:
+            inverse = _lu_solve(basis, np.eye(n + 1)).tolist()
+            r = min(tied, key=lambda i: [x / d[i] for x in inverse[i]])
+        basis[:, r] = a
+        weights = [x - di * least for x, di in zip(w, d)]  # one elimination step
+        weights[r] = least
         space[r], level[r] = verts[enter][:n], verts[enter][n]
-        if pivots % _REFACTOR_EVERY == 0:
-            basis = [column(x + (k,)) for x, k in zip(space, level)]
-            inverse = np.linalg.inv(np.array(basis).T).tolist()
         # The facet's zero is at time sum(weights at level 1): at time 1, up
         # to rounding, it is a fixed point.  Degenerate maps (values on
         # lattice faces) get there before the whole facet reaches level 1.
         # A facet wholly at level 1 ends the path whatever its weights sum
         # to: at spacing h they carry rounding of order 1/h, and a missed
         # end would pivot to a vertex at time 2.
-        at_top = [row[0] * k for row, k in zip(inverse, level)]
+        at_top = [x * k for x, k in zip(weights, level)]
         if all(level) or sum(at_top) >= 1.0 - 1e-12:
             tops = [grid.value(tuple(step * x for x in space[r]))
                     for r in range(n + 1) if at_top[r] > 0]
@@ -548,7 +545,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
             perm[leave - 1], perm[leave] = perm[leave], perm[leave - 1]
             verts[leave] = tuple(map(add, verts[leave - 1], unit[perm[leave - 1]]))
             enter = leave
-    return _barycentre(h, [row[0] for row in inverse], space), max(max_pivots, 0), False, False
+    return _barycentre(h, weights, space), max(max_pivots, 0), False, False
 
 
 def extract_certificate(fp: FixedPointResult, grid: SampleGrid,

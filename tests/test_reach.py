@@ -1,8 +1,8 @@
 """The reach gate: bench/reach.py rerun against the committed
 BENCH_pipeline.json.  It fails on a wrong certificate or an exception, on
 a changed outcome, grid budget or certificate (alpha, displacement), and
-on grown f-evaluations or pivots, over all 87 reach cases: 57 under the
-default grid budget and 30 at a huge one, in up to 24-D (about three
+on grown f-evaluations or pivots, over all 98 reach cases: 57 under the
+default grid budget and 41 at a huge one, in up to 48-D (about six
 seconds on 2 vCPUs)."""
 
 import subprocess
