@@ -17,7 +17,14 @@ extremal map in 12-, 16-, 24- and 32-D at gaps 0.01, 1e-6, 1e-10 and
 1e-12 and in 48-D at gap 0.01 (HUGE_EXTREMAL_GAPS), and random
 Voronoi step maps (12 sites drawn uniformly in the ball, each sending its
 cell to a value in a ball of radius eps/2, so eps = 0.8; seeds 0-5) in 4-
-and 8-D at gaps 1e-4 and 1e-8.  Each row records its `grid_budget`.  Each
+and 8-D at gaps 1e-4 and 1e-8.  A third block of 28, also at that budget
+(OFFCENTRE_CASES, about 3 s of the 7-9 s in all on 2 vCPUs), moves the
+extremal map's fixed point off the origin (OffCentreMap): dims 4, 8 and
+16 at gaps 0.01, 1e-6 and 1e-10, seeds 0-2, and 24-D at gap 0.01, seed 0.
+The origin is the first vertex every path samples, and there the
+origin-centred extremal map already displaces a sample by its bound
+eps/R: those rows measure the path, the off-centre rows the search.  Each
+row records its `grid_budget`.  Each
 case runs `run_pipeline` --repeats times and records its outcome: `ok` (a
 fresh f(z) is displaced by less than eps'), `wrong` (it is not), or the
 cause the pipeline declined with (`budget`,
@@ -72,6 +79,9 @@ HUGE_BUDGET = 10**1000  # no cube of vertices exceeds it
 HUGE_EXTREMAL_GAPS = {12: (0.01, 1e-6, 1e-10, 1e-12), 16: (0.01, 1e-6, 1e-10, 1e-12),
                       24: (0.01, 1e-6, 1e-10, 1e-12), 32: (0.01, 1e-6, 1e-10, 1e-12),
                       48: (0.01,)}
+# The off-centre rows, also at HUGE_BUDGET: (dimension, gap, seed).
+OFFCENTRE_CASES = [(dim, gap, seed) for dim in (4, 8, 16) for gap in (0.01, 1e-6, 1e-10)
+                   for seed in range(3)] + [(24, 0.01, 0)]
 # DomainError: the map or the bound is outside what the pipeline accepts.
 DECLINED = ((BudgetExceededError, "budget"), (NoConvergenceError, "no_convergence"),
             (CertificateError, "certificate"), (DomainError, "domain"),
@@ -87,6 +97,27 @@ def voronoi_map(seed: int, dim: int, cells: int = 12, eps: float = 0.8) -> Sampl
     values = center + eps / 2.0 * random_ball_points(rng, dim, cells)
     # any two points of the ball lie within 2 of each other
     return SampledMap(random_ball_points(rng, dim, cells), values, covering_radius=2.0, eps=eps)
+
+
+class OffCentreMap:
+    """x -> c + Q E(Q^T (x - c)), E the extremal map of eps 1 and Q
+    orthogonal: E moved to centre c and turned by Q.  Its image is E's
+    rotated about c, so its diameter is 1, it lies in the ball as long as
+    |c| <= 1 - E.scale, and its bound eps/R is attained only at c."""
+
+    def __init__(self, seed: int, dim: int):
+        self.extremal = ExtremalMap(dim=dim, eps=1.0)
+        self.dim, self.eps = dim, 1.0
+        rng = np.random.default_rng(seed)
+        self.centre = 0.9 * (1.0 - self.extremal.scale) * random_ball_points(rng, dim, 1)[0]
+        self.rotation = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+    def batch(self, xs: np.ndarray) -> np.ndarray:
+        turned = (np.asarray(xs, dtype=float) - self.centre) @ self.rotation
+        return self.centre + self.extremal.batch(turned) @ self.rotation.T
+
+    def __call__(self, x) -> np.ndarray:
+        return self.batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def cases():
@@ -111,6 +142,9 @@ def cases():
                 f = voronoi_map(seed, dim)
                 yield f"voronoi-{dim}d-seed-{seed}-gap-{gap:g}", f, dim, \
                     f.eps / jung_radius(dim) + gap, HUGE_BUDGET
+    for dim, gap, seed in OFFCENTRE_CASES:
+        yield f"offcentre-{dim}d-seed-{seed}-gap-{gap:g}", OffCentreMap(seed, dim), dim, \
+            1.0 / jung_radius(dim) + gap, HUGE_BUDGET
 
 
 def attempt(f, dim: int, eps_prime: float, grid_budget: int) -> tuple[dict, float]:

@@ -278,8 +278,7 @@ def render_figure(eps: float) -> str:
         f'  <circle id="bound-circle" cx="{cx:.6f}" cy="{cx:.6f}" '
         f'r="{inner_ratio * _SVG_RADIUS:.6f}" fill="none" stroke="black" '
         f'stroke-width="1" stroke-dasharray="4 4"/>')
-    for i, v in enumerate(extremal.vertices.points):
-        image = -extremal.scale * v
+    for i, (v, image) in enumerate(zip(extremal.vertices.points, extremal.image_points().points)):
         px = cx + image[0] * _SVG_RADIUS
         py = cx - image[1] * _SVG_RADIUS
         parts.append(

@@ -221,8 +221,8 @@ def ball_lattice(pts: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarra
 
 
 def check_grid_budget(per_axis: int, dim: int, budget: int, what: str = "") -> None:
-    """DomainError for a budget below 1; BudgetExceededError if per_axis^dim exceeds it."""
-    if budget < 1:
+    """DomainError for a budget below 1 or NaN; BudgetExceededError if per_axis^dim exceeds it."""
+    if not budget >= 1:  # NaN too
         raise DomainError(f"grid budget must be at least 1, got {budget}")
     if per_axis ** dim > budget:
         raise BudgetExceededError(

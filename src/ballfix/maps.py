@@ -10,6 +10,7 @@ for rows of points, which grids and sweeps use, and one shared
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,10 +68,11 @@ class ExtremalMap(_BallMap):
     regular simplex.
 
     Each point of cell i is sent to -scale * x_i where x_i is the cell's
-    site and scale = eps / jung_radius(dim).  The image is a shrunken
-    reflected copy of the vertex set, so its diameter is exactly eps, while
-    every point of the ball is displaced by at least eps / jung_radius(dim):
-    the construction showing that bound cannot be improved.
+    site and scale = eps / jung_radius(dim), both computed once.  The image
+    is a shrunken reflected copy of the vertex set, so its diameter is
+    exactly eps, while every point of the ball is displaced by at least
+    eps / jung_radius(dim): the construction showing that bound cannot be
+    improved.
 
     For eps > jung_radius(dim) the image pokes outside the unit ball
     (value norms equal eps / jung_radius(dim)); the sharp self-map regime
@@ -89,10 +91,8 @@ class ExtremalMap(_BallMap):
         object.__setattr__(self, "dim", check_dim(self.dim))
         object.__setattr__(self, "eps", check_eps(self.eps))
         object.__setattr__(self, "vertices", regular_simplex_vertices(self.dim))
-
-    @property
-    def scale(self) -> float:
-        return self.eps / jung_radius(self.dim)
+        object.__setattr__(self, "scale", self.eps / jung_radius(self.dim))
+        object.__setattr__(self, "_image", PointSet(-self.scale * self.vertices.points))
 
     def batch_index(self, xs: np.ndarray) -> np.ndarray:
         xs = self._rows(xs)
@@ -101,15 +101,14 @@ class ExtremalMap(_BallMap):
         # half the machine epsilon (|v_ij| <= 1), so two that differ by less
         # than `slack` tie up to rounding; a tie goes to the lowest index.
         dots = xs @ self.vertices.points.T
-        slack = (self.dim + 2) * np.finfo(float).eps * np.abs(xs).sum(axis=1, keepdims=True)
+        slack = (self.dim + 2) * sys.float_info.epsilon * np.abs(xs).sum(axis=1, keepdims=True)
         return np.argmax(dots >= dots.max(axis=1, keepdims=True) - slack, axis=1)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        idx = self.batch_index(xs)
-        return -self.scale * self.vertices.points[idx]
+        return self._image.points[self.batch_index(xs)]
 
     def image_points(self) -> PointSet:
-        return PointSet(-self.scale * self.vertices.points)
+        return self._image
 
 
 def StepMap1D(eps: float) -> ExtremalMap:

@@ -86,7 +86,6 @@ def tightness_report(dim: int, eps: float, points_per_axis: int = 201,
     spec = GridSpec(dim=dim, points_per_axis=points_per_axis)
     extremal = ExtremalMap(dim=dim, eps=eps)
     argmin, value = min_displacement_grid(extremal, spec, budget=budget)
-    bound = eps / jung_radius(dim)
     return TightnessReport(
         dim=dim,
         eps=eps,
@@ -94,8 +93,8 @@ def tightness_report(dim: int, eps: float, points_per_axis: int = 201,
         grid_step=spec.grid_step,
         min_displacement=value,
         argmin=argmin,
-        theoretical_bound=bound,
-        gap=value - bound,
+        theoretical_bound=extremal.scale,
+        gap=value - extremal.scale,
     )
 
 

@@ -20,7 +20,7 @@ only at the vertices the path touches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, mul, sub
 
 import numpy as np
@@ -87,16 +87,15 @@ class PipelineParams:
     """Validated parameter bundle for one pipeline run.
 
     eps is the discontinuity scale of the input map, eps_prime the bound to
-    certify, gamma the image-diameter slack (run_pipeline: an eighth of
-    R*eps_prime - eps), alpha the sampling/Rips scale (run_pipeline: at
-    most eps, alpha/2 taking 99% of the room the chain leaves), and fp_tol
-    the fixed-point residual the solver must reach.  The admissibility chain
+    certify, gamma the image-diameter slack, alpha the sampling/Rips scale,
+    and fp_tol the fixed-point residual the solver must reach.  They close
+    the certificate chain, written once, in chain_bound:
 
-        (eps + gamma)/R + alpha/2 + fp_tol < eps_prime,   R = jung_radius(dim)
+        (eps + gamma)/R + alpha/2 + fp_tol < eps_prime,   R = jung_radius(dim).
 
-    (chain_bound below, the one place it is written) extends the
-    exact-arithmetic requirement by the solver residual so the certificate
-    inequality stays fully checkable.
+    derive is the one place a run derives them; params built directly are
+    validated alike.  R, from the one hypothesis check, is kept as `radius`,
+    which is not a field, so not in asdict.
     """
 
     dim: int
@@ -107,10 +106,11 @@ class PipelineParams:
     fp_tol: float
 
     def __post_init__(self):
-        radius = _check_hypothesis(self.dim, self.eps, self.eps_prime)
-        if not (0.0 < self.gamma < radius * self.eps_prime - self.eps):
-            raise DomainError(
-                f"gamma={self.gamma} outside (0, {radius * self.eps_prime - self.eps})")
+        if "radius" not in vars(self):  # derive sets the R of the hypothesis it checked
+            vars(self)["radius"] = _check_hypothesis(self.dim, self.eps, self.eps_prime)
+        slack = self.radius * self.eps_prime - self.eps
+        if not (0.0 < self.gamma < slack):
+            raise DomainError(f"gamma={self.gamma} outside (0, {slack})")
         if self.alpha <= 0 or self.fp_tol <= 0:
             raise DomainError("alpha and fp_tol must be positive")
         if not self.certificate_bound < self.eps_prime:
@@ -118,18 +118,53 @@ class PipelineParams:
                 f"certificate chain bound {self.certificate_bound} does not undercut "
                 f"eps_prime={self.eps_prime}; decrease alpha or fp_tol")
 
+    @classmethod
+    def derive(cls, dim: int, eps: float, eps_prime: float) -> PipelineParams:
+        """A run's params: gamma an eighth of the slack R*eps_prime - eps, fp_tol
+        min(1e-6, gamma/(2R)), alpha at most eps and alpha/2 99% of the room the
+        chain leaves, halved while rounding keeps it open; HypothesisError for a
+        gap doubles cannot resolve (gamma rounds to 0, or no alpha closes it)."""
+        radius = _check_hypothesis(dim, eps, eps_prime)
+        # 1/8: the exact Jung check needs margin only for rounding; a failure halves alpha
+        gamma = (radius * eps_prime - eps) / 8.0
+
+        def below_precision(why: str) -> HypothesisError:  # formatted only when raised
+            return HypothesisError(f"eps_prime={eps_prime} exceeds eps/jung_radius(dim)="
+                                   f"{eps / radius} by less than double precision can "
+                                   f"resolve: {why}")
+        if not gamma > 0:
+            raise below_precision(f"the slack gamma rounds to {gamma}")
+        if gamma == math.inf:  # the chain would be inf - inf at every alpha
+            raise DomainError(f"eps_prime={eps_prime} overflows the slack R*eps_prime - eps")
+        fp_tol = min(1e-6, gamma / (2.0 * radius))
+        room = eps_prime - cls.chain_bound(radius, eps, gamma, 0.0, fp_tol)
+        alpha = min(float(eps), 0.99 * 2.0 * room)  # 0.99: the 1% absorbs rounding
+        while not cls.chain_bound(radius, eps, gamma, alpha, fp_tol) < eps_prime:
+            alpha /= 2.0
+            if alpha == 0.0:
+                raise below_precision("no alpha > 0 closes the certificate chain")
+        params = cls.__new__(cls)
+        vars(params).update(dim=dim, eps=eps, eps_prime=eps_prime, gamma=gamma, alpha=alpha,
+                            fp_tol=fp_tol, radius=radius)
+        params.__post_init__()
+        return params
+
+    def with_half_alpha(self) -> PipelineParams:
+        """These params with alpha halved, validated anew: the retry after a failed Jung check."""
+        return replace(self, alpha=self.alpha / 2.0)
+
     @staticmethod
-    def chain_bound(dim: int, eps: float, gamma: float, alpha: float, fp_tol: float) -> float:
-        """(eps + gamma)/R + alpha/2 + fp_tol, which must undercut eps_prime."""
-        return (eps + gamma) / jung_radius(dim) + alpha / 2.0 + fp_tol
+    def chain_bound(radius: float, eps: float, gamma: float, alpha: float, fp_tol: float) -> float:
+        """(eps + gamma)/R + alpha/2 + fp_tol, R = radius, which must undercut eps_prime."""
+        return (eps + gamma) / radius + alpha / 2.0 + fp_tol
 
     @property
-    def jung_term_bound(self) -> float:
-        return (self.eps + self.gamma) / jung_radius(self.dim)
+    def jung_term_bound(self) -> float:  # the chain's first term: the others add exactly 0
+        return self.chain_bound(self.radius, self.eps, self.gamma, 0.0, 0.0)
 
     @property
     def certificate_bound(self) -> float:
-        return self.chain_bound(self.dim, self.eps, self.gamma, self.alpha, self.fp_tol)
+        return self.chain_bound(self.radius, self.eps, self.gamma, self.alpha, self.fp_tol)
 
 
 class SampleGrid:
@@ -146,8 +181,8 @@ class SampleGrid:
 
     def __init__(self, f, dim: int, alpha: float, max_points: int = DEFAULT_GRID_BUDGET):
         dim = check_dim(dim)
-        if alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {alpha}")
+        if not 0.0 < alpha < math.inf:  # NaN too
+            raise DomainError(f"alpha must be positive and finite, got {alpha}")
         spacing = alpha / math.sqrt(dim) / 2.0
         half_count = int(math.ceil(1.0 / spacing))
         check_grid_budget(2 * half_count + 1, dim, max_points, f" for alpha={alpha}")
@@ -609,44 +644,21 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
                  grid_budget: int = DEFAULT_GRID_BUDGET) -> PipelineRun:
     """End-to-end certificate search for a map of discontinuity scale eps.
 
-    Requires eps_prime > eps / jung_radius(dim) (below that bound extremal
-    maps admit no certificate).  Picks gamma as an eighth of the slack
-    R*eps_prime - eps, fp_tol as min(1e-6, gamma/(2R)), and alpha as 99%
-    of the largest value the certificate chain (PipelineParams.chain_bound)
-    admits, at most eps, halved while rounding keeps the chain open; then
-    finds a fixed point of the averaged map on the lazy grid.  An eps_prime
-    so close above the bound that gamma rounds to 0, or that no alpha > 0
-    closes the chain, is a HypothesisError: doubles cannot resolve the gap.
-    extract_certificate checks the Jung term on the support at that fixed
-    point; while it fails alpha is halved, until the grid budget stops a map
-    that is not eps-continuous.  The returned certificate's displacement is
-    re-evaluated directly on f, not trusted from grid internals.
+    PipelineParams.derive, the one place the certificate chain is derived,
+    checks eps_prime > eps / jung_radius(dim) and picks gamma, fp_tol and
+    alpha.  extract_certificate certifies the fixed point of the averaged
+    map on the lazy grid; while its Jung check fails alpha is halved, until
+    the grid budget stops a map that is not eps-continuous.  The
+    certificate's displacement is re-evaluated directly on f.
     """
-    radius = _check_hypothesis(dim, eps, eps_prime)
-    # 1/8: the exact Jung check needs margin only for rounding; a failure halves alpha
-    gamma = (radius * eps_prime - eps) / 8.0
-
-    def below_precision(why: str) -> HypothesisError:  # formatted only when raised
-        return HypothesisError(f"eps_prime={eps_prime} exceeds eps/jung_radius(dim)={eps / radius} "
-                               f"by less than double precision can resolve: {why}")
-    if not gamma > 0:
-        raise below_precision(f"the slack gamma rounds to {gamma}")
-    fp_tol = min(1e-6, gamma / (2.0 * radius))
-    room = eps_prime - PipelineParams.chain_bound(dim, eps, gamma, 0.0, fp_tol)
-    alpha = min(float(eps), 0.99 * 2.0 * room)  # 0.99: the 1% absorbs rounding
-    while not PipelineParams.chain_bound(dim, eps, gamma, alpha, fp_tol) < eps_prime:
-        alpha /= 2.0
-        if alpha == 0.0:
-            raise below_precision("no alpha > 0 closes the certificate chain")
+    params = PipelineParams.derive(dim, eps, eps_prime)
     while True:
-        params = PipelineParams(dim=dim, eps=eps, eps_prime=eps_prime,
-                                gamma=gamma, alpha=alpha, fp_tol=fp_tol)
-        grid = build_sample_grid(f, dim, alpha, max_points=grid_budget)
+        grid = build_sample_grid(f, dim, params.alpha, max_points=grid_budget)
         fixed_point = find_fixed_point(lambda y: averaged_map_eval(y, grid), grid)
         try:
             certificate = extract_certificate(fixed_point, grid, params)
         except CertificateError:
-            alpha /= 2.0  # not yet "sufficiently small"
+            params = params.with_half_alpha()  # not yet "sufficiently small"
             continue
         recheck = math.dist(as_vector(f(certificate.z)).tolist(), certificate.z.tolist())
         return PipelineRun(params=params, grid=grid, certificate=certificate,

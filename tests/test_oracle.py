@@ -49,6 +49,11 @@ def test_grid_budget_below_one_is_a_domain_error(budget):
         list(iter_ball_grid(GridSpec(dim=2, points_per_axis=3), budget))
 
 
+def test_a_nan_grid_budget_is_a_domain_error():
+    with pytest.raises(DomainError, match="grid budget must be at least 1, got nan"):
+        list(iter_ball_grid(GridSpec(dim=2, points_per_axis=3), float("nan")))
+
+
 def test_ball_grid_clipping_and_boundary():
     spec = GridSpec(dim=2, points_per_axis=41)
     pts = ball_grid(spec)

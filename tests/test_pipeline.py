@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from ballfix import maps, pipeline
 from ballfix.errors import (
     BudgetExceededError,
     DomainError,
@@ -60,6 +62,84 @@ def test_pipeline_params_validation():
         PipelineParams(dim=1, eps=3.0, eps_prime=1.6, gamma=0.05, alpha=0.01, fp_tol=1e-6)
 
 
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_a_run_checks_its_hypothesis_and_computes_r_once(monkeypatch):
+    # PipelineParams.derive checks the hypothesis and keeps R; the chain,
+    # the Jung bound and the run's own params read it, and the extremal
+    # map's batches read the image it computed at construction
+    f = ExtremalMap(dim=3, eps=1.0)
+    calls = {}
+    _counting(monkeypatch, pipeline, "jung_radius", calls)
+    _counting(monkeypatch, pipeline, "_check_hypothesis", calls)
+    _counting(monkeypatch, maps, "jung_radius", calls)
+    run = run_pipeline(f, 3, 1.0, 0.75)
+    assert run.displacement_recheck < 0.75
+    assert calls == {"jung_radius": 1, "_check_hypothesis": 1}
+    assert run.params.radius == jung_radius(3)
+    assert sorted(dataclasses.asdict(run.params)) == [
+        "alpha", "dim", "eps", "eps_prime", "fp_tol", "gamma"]
+
+
+class SteepMap1D:
+    """x -> c - slope (x - c), clipped to [-1, 1]: continuous, with its
+    fixed point c off the lattice."""
+
+    dim = 1
+
+    def __init__(self, slope, c):
+        self.slope, self.c = slope, c
+
+    def batch(self, xs):
+        return np.clip(self.c - self.slope * (xs - self.c), -1.0, 1.0)
+
+    def __call__(self, x):
+        return self.batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
+
+
+def test_the_jung_retry_halves_alpha_exactly_and_keeps_gamma_and_fp_tol():
+    # at slope 40 a simplex of the first two alphas maps wider than eps + gamma
+    first = PipelineParams.derive(1, 0.1, 0.06)
+    run = run_pipeline(SteepMap1D(40.0, 0.3141592), 1, 0.1, 0.06)
+    assert run.params == dataclasses.replace(first, alpha=first.alpha / 4.0)
+    assert run.params.radius == first.radius
+    assert run.displacement_recheck < 0.06
+
+
+def test_the_retry_params_are_those_built_directly():
+    params = PipelineParams.derive(2, 1.0, 0.62)
+    half = params.with_half_alpha()
+    assert half == PipelineParams(2, 1.0, 0.62, params.gamma, params.alpha / 2.0, params.fp_tol)
+    assert half.certificate_bound < params.certificate_bound < 0.62
+    tiny = dataclasses.replace(params, alpha=math.ulp(0.0))
+    with pytest.raises(DomainError, match="alpha and fp_tol must be positive"):
+        tiny.with_half_alpha()  # alpha underflows to 0
+
+
+def test_derived_params_equal_the_same_params_built_directly():
+    for dim, eps, eps_prime in ((1, 1.0, 0.55), (3, 0.5, 0.35),
+                                (8, 1.0, 1.0 / jung_radius(8) + 1e-12)):
+        params = PipelineParams.derive(dim, eps, eps_prime)
+        direct = PipelineParams(**dataclasses.asdict(params))
+        assert direct == params and direct.radius == params.radius
+        assert direct.certificate_bound == params.certificate_bound < eps_prime
+        assert params.jung_term_bound == (eps + params.gamma) / jung_radius(dim)
+
+
+def test_an_eps_prime_whose_slack_overflows_is_a_domain_error():
+    # R * 1e308 overflows in 1-D, where the alpha loop once ran forever
+    with pytest.raises(DomainError, match="overflows the slack"):
+        PipelineParams.derive(1, 1.0, 1e308)
+    assert PipelineParams.derive(1, 1.0, 8e307).alpha == 1.0
+
+
 # --- sample grids ---------------------------------------------------------------
 
 
@@ -95,6 +175,20 @@ def test_build_sample_grid_budget_error():
     for budget in (0, -5):  # a negative budget once took a complex root here
         with pytest.raises(DomainError, match="grid budget must be at least 1"):
             build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, 0.5, max_points=budget)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_sample_grid_rejects_a_non_finite_alpha(alpha):
+    # nan once escaped as a bare ValueError from int(), and inf built a
+    # grid of infinite spacing
+    with pytest.raises(DomainError, match=f"alpha must be positive and finite, got {alpha}"):
+        build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, alpha)
+
+
+def test_run_pipeline_rejects_a_nan_grid_budget():
+    # both budget tests were false for NaN, so the run went ahead unbudgeted
+    with pytest.raises(DomainError, match="grid budget must be at least 1, got nan"):
+        run_pipeline(ExtremalMap(dim=2, eps=1.0), 2, 1.0, 0.62, grid_budget=math.nan)
 
 
 def test_sample_grid_over_budget_shares_the_oracle_grid_message():
@@ -519,7 +613,7 @@ def _alpha_fills_the_chain(params):
     """alpha is at most eps, closes the certificate chain, and is eps or
     leaves the chain open at 1.02 alpha: no room is left unused."""
     def closes(alpha):
-        return PipelineParams.chain_bound(params.dim, params.eps, params.gamma, alpha,
+        return PipelineParams.chain_bound(params.radius, params.eps, params.gamma, alpha,
                                           params.fp_tol) < params.eps_prime
 
     return (params.alpha <= params.eps and closes(params.alpha)
