@@ -102,7 +102,7 @@ def as_points(points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
         raise InvalidDimensionError(f"expected an (m, n) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     return pts
 

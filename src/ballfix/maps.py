@@ -102,10 +102,10 @@ class ExtremalMap(_BallMap):
         # than `slack` tie up to rounding; a tie goes to the lowest index.
         dots = xs @ self.vertices.points.T
         slack = (self.dim + 2) * sys.float_info.epsilon * np.abs(xs).sum(axis=1, keepdims=True)
-        return np.argmax(dots >= dots.max(axis=1, keepdims=True) - slack, axis=1)
+        return (dots >= dots.max(axis=1, keepdims=True) - slack).argmax(axis=1)
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        return self._image.points[self.batch_index(xs)]
+        return self._image.points.take(self.batch_index(xs), axis=0)
 
     def image_points(self) -> PointSet:
         return self._image

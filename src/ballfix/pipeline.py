@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from operator import add, mul, sub
 
 import numpy as np
@@ -28,6 +29,7 @@ from scipy.linalg.lapack import dgesv
 from scipy.spatial import cKDTree
 
 from .errors import (
+    BudgetExceededError,
     CertificateError,
     DomainError,
     HypothesisError,
@@ -184,6 +186,9 @@ class SampleGrid:
         if not 0.0 < alpha < math.inf:  # NaN too
             raise DomainError(f"alpha must be positive and finite, got {alpha}")
         spacing = alpha / math.sqrt(dim) / 2.0
+        if not spacing >= 2.0 ** -1022:  # normal, so that 1/spacing and y/spacing stay finite
+            raise BudgetExceededError(f"grid for alpha={alpha} needs a spacing of {spacing}, "
+                                      "below double precision at any budget", limit=max_points)
         half_count = int(math.ceil(1.0 / spacing))
         check_grid_budget(2 * half_count + 1, dim, max_points, f" for alpha={alpha}")
         self.f = f
@@ -207,7 +212,7 @@ class SampleGrid:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def touch(self, ks) -> np.ndarray:
+    def touch(self, ks) -> list[int]:
         """Slots of the vertices with the given distinct integer rows (tuples,
         lists or an integer array); f is evaluated in one batch at the
         projections of the new ones."""
@@ -216,7 +221,7 @@ class SampleGrid:
         if -1 in slots:
             self._sample([key for key, slot in zip(keys, slots) if slot < 0])
             slots = [self._slots[key] for key in keys]
-        return np.array(slots)
+        return slots
 
     def _sample(self, keys: list[tuple[int, ...]]) -> None:
         """Slot the new distinct vertices `keys`, f evaluated in one batch."""
@@ -224,11 +229,12 @@ class SampleGrid:
         pts = np.array(rows)
         if any(math.hypot(*row) > 1.0 - 1e-9 for row in rows):  # numpy's norm, for its bits
             pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
+            rows = pts.tolist()
         values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape).tolist()
         if not all(math.hypot(*row) <= 1.0 + TOL_GEOM for row in values):  # NaN too
             raise DomainError("some sample value lies outside the unit ball")
-        self._slots.update(zip(keys, range(len(self), len(self) + len(keys))))
-        self._point_rows += pts.tolist()
+        self._slots.update(zip(keys, range(len(self._rows), len(self._rows) + len(keys))))
+        self._point_rows += rows
         self._rows += values
 
     def value(self, key: tuple[int, ...]) -> list[float]:
@@ -353,9 +359,8 @@ def embed(y, grid: SampleGrid) -> EmbeddedPoint:
     vertices, _, weights = _kuhn_simplex([x / grid.spacing for x in y])
     kept = [j for j, w in enumerate(weights) if w > 0.0]
     support = grid.touch([vertices[j] for j in kept])
-    weights = [weights[j] for j in kept]
-    points = np.array([grid._point_rows[k] for k in support.tolist()])
-    emb = EmbeddedPoint(support=support, points=points, weights=np.array(weights))
+    points = np.array([grid._point_rows[k] for k in support])
+    emb = EmbeddedPoint(np.array(support), points, np.array([weights[j] for j in kept]))
     grid._embedded = (y, emb)
     return emb
 
@@ -459,30 +464,28 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
     [1 ... 1; v_k - s x_k] lambda = e_0 over the simplex's vertices s x_k
     and their values v_k, the system of Merrill's final basis; y lies in
     the simplex when the system is nonsingular and every lambda_k >= 0.
-    f is evaluated at the vertices in one batch.  _lu_solve solves the system,
-    as it does the path's basis at every pivot, so the last bits of y are
-    those of scipy's LAPACK."""
+    f is evaluated at the vertices in one batch.  scipy's LAPACK dgesv solves
+    the system, as it does the path's basis at every pivot, so the last bits
+    of y are LAPACK's."""
     s = grid.spacing
     vertices, _, _ = _kuhn_simplex([x / s for x in c])
-    values = [grid._rows[k] for k in grid.touch(vertices).tolist()]
+    values = [grid._rows[k] for k in grid.touch(vertices)]
     columns = [[1.0] + [t - s * x for t, x in zip(value, v)] for value, v in zip(values, vertices)]
-    weights = _lu_solve(np.array(columns).T, [1.0] + [0.0] * grid.dim)
-    # singular, or outside; a 0 on a face solves to about -1e-17: clip
-    if weights is None or not all(w >= -1e-12 for w in weights.tolist()):
+    _, _, weights, info = dgesv(np.array(columns).T, [1.0] + [0.0] * grid.dim)
+    # singular (info > 0), or outside; a 0 on a face solves to about -1e-17: clip
+    if info or not all(w >= -1e-12 for w in weights.tolist()):
         return None
     return _barycentre(s, [max(w, 0.0) for w in weights.tolist()], vertices)
 
 
-def _lu_solve(a: np.ndarray, b) -> np.ndarray | None:
-    """x with a x = b by scipy's LAPACK dgesv (LU, partial pivoting); None if a is singular."""
-    _, _, x, info = dgesv(a, b)
-    return x if info == 0 else None
-
-
 def _barycentre(h: float, weights: list[float], vertices: list[tuple[int, ...]]) -> list[float]:
     """h * sum_k w_k x_k / sum_k w_k over the integer vertices x_k of a simplex."""
-    total = sum(weights)
-    return [h * sum(map(mul, weights, column)) / total for column in zip(*vertices)]
+    total = _sum(weights)
+    return [h * _sum(map(mul, weights, column)) / total for column in zip(*vertices)]
+
+
+def _sum(xs) -> float:  # left to right from 0.0 on every Python: 3.12's sum compensates
+    return reduce(add, xs, 0.0)
 
 
 def _merrill_path(grid: SampleGrid, step: int, c: list[float],
@@ -502,85 +505,82 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     last zero (in space), the pivots used, whether it is at level 1, and
     whether it is flat there: its weighted level-1 vertices share a value.
     """
-    n, h = grid.dim, step * grid.spacing
-    # The slab simplex over the Kuhn simplex of c: its space axes, then
-    # time (axis n).
+    n, s, h = grid.dim, grid.spacing, step * grid.spacing
+    # The slab simplex over the Kuhn simplex of c: its space axes, then time
+    # (axis n).  A vertex is its grid row, the key of its sample, then its
+    # level times step: a step along any axis adds +-step at that index.
     vertices, axes, weights = _kuhn_simplex([x / h for x in c])
     perm = axes + [n]
-    unit = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
-    verts = [v + (0,) for v in vertices] + [vertices[-1] + (1,)]
+    verts = [tuple([step * x for x in v]) + (0,) for v in vertices]
+    verts.append(verts[-1][:n] + (step,))
     # The path mostly ends over the start simplex: sample its vertices in one batch.
-    grid.touch([tuple(step * x for x in v) for v in vertices])
-
-    def column(v: tuple[int, ...]) -> list[float]:
-        top = grid.value(tuple(step * x for x in v[:n])) if v[n] else c
-        return [1.0] + [t - h * x for t, x in zip(top, v[:n])]
-
+    grid.touch([v[:n] for v in verts[:n + 1]])
     # The basis: its [1; label] columns, the first n + 1 those of the Kuhn
     # simplex of c, whose zero has the barycentric weights of c/h there; and
-    # the space part and level of the vertex behind each column.  row_of
-    # maps simplex positions to columns (-1 for the vertex about to enter).
-    basis = np.array([column(v) for v in verts[:n + 1]]).T
-    rhs = np.eye(n + 1, 2)  # columns e_0 and, at each pivot, the entering a
-    space = [v[:n] for v in verts[:n + 1]]
-    level = [0] * (n + 1)
+    # the vertex behind each column.  row_of maps simplex positions to
+    # columns (-1 for the vertex about to enter).  s * x is h * (x / step)
+    # to the bit, as step is a power of 2.
+    basis = np.array([[1.0] + [t - s * x for t, x in zip(c, v)] for v in verts[:n + 1]]).T
+    rhs = np.eye(n + 1, 2, order="F")  # columns e_0 and, at each pivot, the entering a
+    held = verts[:n + 1]
     row_of = list(range(n + 1)) + [-1]
     enter = n + 1
 
     for pivots in range(1, max_pivots + 1):
-        rhs[:, 1] = a = column(verts[enter])
+        v = verts[enter]
+        rhs[:, 1] = [1.0] + [t - s * x for t, x in zip(grid.value(v[:n]) if v[n] else c, v)]
         # The zero's weights w = B^-1 e_0 and d = B^-1 a, from a fresh LU of
         # the basis B at every pivot: an inverse carried from pivot to pivot
         # drifts, as the basis has condition about 1/h.
-        solved = _lu_solve(basis, rhs)
-        if solved is None:
+        _, _, solved, info = dgesv(basis, rhs)
+        if info:
             raise SolverError(f"singular basis at pivot {pivots} of a path of spacing {h:g}")
         w, d = solved.T.tolist()
         tol = 1e-12 * max(map(abs, d))
         # Lexicographic ratio test, exact in floats: the lexicographically
         # smallest row of B^-1 over its entry of d, its first entry (that of
-        # w) deciding unless tied.
-        ratios = {i: w[i] / d[i] for i in range(n + 1) if d[i] > tol}
-        least = min(ratios.values())
-        tied = [i for i, q in ratios.items() if q == least]
-        r = tied[0]
-        if tied[1:]:
-            inverse = _lu_solve(basis, np.eye(n + 1)).tolist()
-            r = min(tied, key=lambda i: [x / d[i] for x in inverse[i]])
-        basis[:, r] = a
+        # w) deciding unless tied.  Some d_i > tol, as d sums to a_0 = 1.
+        ratios = [wi / di if di > tol else math.inf for wi, di in zip(w, d)]
+        least = min(ratios)
+        r = ratios.index(least)
+        if ratios.count(least) > 1:
+            inverse = dgesv(basis, np.eye(n + 1))[2].tolist()
+            r = min((i for i, q in enumerate(ratios) if q == least),
+                    key=lambda i: [x / d[i] for x in inverse[i]])
+        basis[:, r] = rhs[:, 1]
         weights = [x - di * least for x, di in zip(w, d)]  # one elimination step
         weights[r] = least
-        space[r], level[r] = verts[enter][:n], verts[enter][n]
+        held[r] = v
         # The facet's zero is at time sum(weights at level 1): at time 1, up
         # to rounding, it is a fixed point.  Degenerate maps (values on
         # lattice faces) get there before the whole facet reaches level 1.
         # A facet wholly at level 1 ends the path whatever its weights sum
         # to: at spacing h they carry rounding of order 1/h, and a missed
         # end would pivot to a vertex at time 2.
-        at_top = [x * k for x, k in zip(weights, level)]
-        if all(level) or sum(at_top) >= 1.0 - 1e-12:
-            tops = [grid.value(tuple(step * x for x in space[r]))
-                    for r in range(n + 1) if at_top[r] > 0]
+        at_top = [x for x, u in zip(weights, held) if u[n]]
+        if len(at_top) > n or _sum(at_top) >= 1.0 - 1e-12:
+            tops = [grid.value(u[:n]) for x, u in zip(weights, held) if u[n] and x > 0]
             flat = all(value == tops[0] for value in tops)
+            space = [[x // step for x in u[:n]] for u in held if u[n]]
             return _barycentre(h, at_top, space), pivots, True, flat
         leave = row_of.index(r)
         row_of[enter], row_of[leave] = r, -1
-        # Replace the leaving vertex (Freudenthal pivot rules).
+        # Replace the leaving vertex (Freudenthal pivot rules): the entering
+        # one is its neighbour moved one step along an axis of perm.
         if leave == 0:
-            verts = verts[1:] + [tuple(map(add, verts[n + 1], unit[perm[0]]))]
-            perm = perm[1:] + perm[:1]
-            row_of = row_of[1:] + row_of[:1]
-            enter = n + 1
+            perm, row_of = perm[1:] + perm[:1], row_of[1:] + row_of[:1]
+            verts, enter, axis, by = verts[1:] + verts[-1:], n + 1, perm[-1], step
         elif leave == n + 1:
-            verts = [tuple(map(sub, verts[0], unit[perm[-1]]))] + verts[:n + 1]
-            perm = perm[-1:] + perm[:-1]
-            row_of = row_of[-1:] + row_of[:-1]
-            enter = 0
+            perm, row_of = perm[-1:] + perm[:-1], row_of[-1:] + row_of[:-1]
+            verts, enter, axis, by = verts[:1] + verts[:-1], 0, perm[0], -step
         else:
             perm[leave - 1], perm[leave] = perm[leave], perm[leave - 1]
-            verts[leave] = tuple(map(add, verts[leave - 1], unit[perm[leave - 1]]))
-            enter = leave
-    return _barycentre(h, weights, space), max(max_pivots, 0), False, False
+            verts[leave] = verts[leave - 1]
+            enter, axis, by = leave, perm[leave - 1], step
+        v = verts[enter]
+        verts[enter] = v[:axis] + (v[axis] + by,) + v[axis + 1:]
+    return _barycentre(h, weights, [[x // step for x in u[:n]] for u in held]), \
+        max(max_pivots, 0), False, False
 
 
 def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
@@ -603,7 +603,7 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     weights, support = emb.weights.tolist(), emb.support.tolist()
     check_weights(weights)
     rows = [grid._rows[k] for k in support]
-    image = [sum(map(mul, weights, column)) for column in zip(*rows)]
+    image = [_sum(map(mul, weights, column)) for column in zip(*rows)]
     distances = [math.dist(row, image) for row in rows]
     jung_term = min(distances)
     if not jung_term <= params.jung_term_bound:

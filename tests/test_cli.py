@@ -292,6 +292,14 @@ def test_near_bound_gaps_exit_without_a_validation_error_or_a_hang(n, eps_prime,
     assert done.stdout == ""
 
 
+def test_a_subnormal_eps_exits_as_a_budget_error():
+    # its lattice spacing is subnormal: the run died with an OverflowError
+    done = _ballfix("pipeline", "--map", "step", "--eps", "1e-320", "--eps-prime", "0.5")
+    assert done.returncode == EXIT_BUDGET, done.stderr
+    assert done.stderr.startswith("budget error: grid for alpha=1e-320 needs a spacing of 5e-321")
+    assert done.stdout == ""
+
+
 def test_a_path_that_reaches_its_slab_top_certifies(capsys):
     # at spacing 1.7e-7 the last level's facet weights sum to 1 - 2e-11; the
     # path used to pivot past level 1 and exit 2 with "residual 0.144"

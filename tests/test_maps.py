@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +61,58 @@ def test_voronoi_index_examples():
         assert m.batch_index(m.vertices[i][None, :])[0] == i
     assert m.batch_index(np.zeros((1, 2)))[0] == 0  # tie at the center
     assert m.batch_index((0.9 * m.vertices[2])[None, :])[0] == 2
+
+
+def reference_batch_index(m, xs):
+    """ExtremalMap.batch_index written out row by row over one product
+    xs @ V^T: the lowest i whose x.v_i is within the slack
+    (dim + 2) * machine eps * ||x||_1 of the largest."""
+    out = []
+    for x, dots in zip(xs, xs @ m.vertices.points.T):
+        slack = (m.dim + 2) * sys.float_info.epsilon * np.sum(np.abs(x))
+        out.append(min(i for i, d in enumerate(dots) if d >= np.max(dots) - slack))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_batch_index_is_the_written_out_rule(dim):
+    # random points, the origin, points on cell walls and points moved off a
+    # wall by less than the slack, where a tie goes to the lower index
+    m = ExtremalMap(dim=dim, eps=1.0)
+    rng = np.random.default_rng(40 + dim)
+    verts = m.vertices.points
+    walls, nudged = [], []
+    for _ in range(200):
+        i, j = sorted(rng.choice(dim + 1, size=2, replace=False))
+        x = 0.9 * random_ball_points(rng, dim, 1)[0]
+        normal = verts[i] - verts[j]
+        wall = x - (x @ normal) / (normal @ normal) * normal
+        walls.append(wall)
+        # x.(v_i - v_j) = -1e-16 * ||x||_1 favours j, by less than the slack
+        nudged.append(wall - 1e-16 * np.abs(wall).sum() * normal / (normal @ normal))
+    xs = np.concatenate([random_ball_points(rng, dim, 500), np.zeros((1, dim)), walls, nudged])
+    expected = reference_batch_index(m, xs)
+    assert m.batch_index(xs).tolist() == expected
+    assert m.batch(xs).tobytes() == m.image_points().points[expected].tobytes()
+    if dim > 1:  # the 1-D wall is the origin, whose tie argmax breaks alike
+        assert (np.array(expected) != (xs @ verts.T).argmax(axis=1)).any()  # ties decided
+
+
+@pytest.mark.parametrize("xs, kind, message", [
+    ([[0.1, math.nan, 0.0]], ValueError, "point coordinates must be finite"),
+    ([[math.inf, 0.0, 0.0]], ValueError, "point coordinates must be finite"),
+    ([[0.1, 0.2]], InvalidDimensionError, "2-D points for a 3-D map"),
+    (np.zeros((0, 3)), InvalidDimensionError, "expected an (m, n) point array, got shape (0, 3)"),
+    ([0.1, 0.2, 0.3], InvalidDimensionError, "1-D points for a 3-D map"),
+])
+def test_the_batch_entry_rejects_bad_rows(xs, kind, message):
+    # NaN, inf, a wrong width, no rows, and a vector (read as a column of
+    # 1-D points) fail with the errors the maps' batch always raised
+    m = ExtremalMap(dim=3, eps=1.0)
+    for call in (m.batch, m.batch_index):
+        with pytest.raises(ValueError) as err:
+            call(np.array(xs, dtype=float))
+        assert (type(err.value), str(err.value)) == (kind, message)
 
 
 def test_extremal_eval_examples():

@@ -185,6 +185,18 @@ def test_sample_grid_rejects_a_non_finite_alpha(alpha):
         build_sample_grid(ExtremalMap(dim=2, eps=1.0), 2, alpha)
 
 
+@pytest.mark.parametrize("eps, eps_prime, budget", [
+    (5e-324, 8e307, 2_000_000),  # the spacing rounds to 0: a ZeroDivisionError
+    (1e-320, 0.5, 10**1000),  # 1/spacing overflows: an OverflowError from int()
+], ids=["spacing-0", "spacing-5e-321"])
+def test_a_subnormal_alpha_is_a_budget_error(eps, eps_prime, budget):
+    # no budget holds a lattice finer than a normal double resolves
+    with pytest.raises(BudgetExceededError, match="below double precision at any budget") as err:
+        run_pipeline(StepMap1D(eps), 1, eps, eps_prime, grid_budget=budget)
+    assert err.value.limit == budget
+    assert len(build_sample_grid(StepMap1D(1.0), 1, 2.0 ** -1021, max_points=10**400)) == 0
+
+
 def test_run_pipeline_rejects_a_nan_grid_budget():
     # both budget tests were false for NaN, so the run went ahead unbudgeted
     with pytest.raises(DomainError, match="grid budget must be at least 1, got nan"):

@@ -87,6 +87,26 @@ def test_certificates_match_the_recorded_bits():
         assert certificate_record(f, dim, eps_prime) == recorded[name], name
 
 
+def neumaier_sum(xs):
+    """The builtin sum of floats from Python 3.12 on: Neumaier's compensated
+    sum, the compensation added at the end when nonzero and finite (equal
+    to CPython 3.12.1's on every sum of the benchmark's certificates)."""
+    total, compensation = 0.0, 0.0
+    for x in xs:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_the_recorded_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # Python 3.10 and 3.11 add floats left to right, 3.12 compensates: the
+    # pins must hold with either sum, so the solver adds left to right itself
+    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # a left-to-right sum gives 0.0
+    monkeypatch.setattr(pipeline, "sum", neumaier_sum, raising=False)
+    test_certificates_match_the_recorded_bits()
+
+
 def certify(f, dim):
     """run_pipeline at eps' = 1.6 eps/R_n, with the residual and a fresh
     f(z) displacement checked."""
@@ -236,6 +256,37 @@ def test_a_singular_path_basis_raises(monkeypatch):
     monkeypatch.setattr(pipeline, "dgesv", lambda a, b: (None, None, np.zeros(np.shape(b)), 1))
     with pytest.raises(SolverError, match="singular basis at pivot 1 of a path"):
         _solve(ExtremalMap(dim=2, eps=1.0), 2, 0.1)
+
+
+def test_a_new_path_vertex_costs_one_batch_call_of_one_row(monkeypatch):
+    # the path evaluates no vertex ahead of itself: a vertex it enters costs
+    # one batch call of one row if new and none if touched, and every row
+    # evaluated is a new sample, so no vertex is evaluated twice
+    m = ExtremalMap(dim=3, eps=1.0)
+    batches, entered = [], []
+
+    class Recording:
+        dim, eps = m.dim, m.eps
+
+        def batch(self, xs):
+            batches.append(len(xs))
+            return m.batch(xs)
+
+        def __call__(self, x):
+            return m(x)
+
+    value = pipeline.SampleGrid.value
+
+    def spy(grid, key):
+        before = len(batches)
+        row = value(grid, key)
+        entered.append(batches[before:])
+        return row
+
+    monkeypatch.setattr(pipeline.SampleGrid, "value", spy)
+    run = run_pipeline(Recording(), 3, 1.0, 0.75)
+    assert [1] in entered and all(calls in ([], [1]) for calls in entered)
+    assert sum(batches) == len(run.grid)
 
 
 def test_the_fixed_point_needs_few_pivots_and_samples():
