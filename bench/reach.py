@@ -10,17 +10,18 @@ dims 1-10 at gaps eps' - eps/R_n of 0.05, 0.01, 0.002, 1e-4 and 1e-6, all
 at eps = 1; then the 2-D quantized contraction of the certify-fine
 benchmark workload (perfbench.inputs.quantized_map on seed 0, delta 0.1,
 gains 0.5-0.9) at the same five gaps, whose coarse levels are flat.  These
-57 cases run under the default grid budget.  A second block of 41 runs at
+57 cases run under the default grid budget.  A second block of 71 runs at
 a grid budget of 10**1000, so that the up-front cube check never declines
 and the solver, not the budget, decides the outcome above 3-D: the
 extremal map in 12-, 16-, 24- and 32-D at gaps 0.01, 1e-6, 1e-10 and
 1e-12 and in 48-D at gap 0.01 (HUGE_EXTREMAL_GAPS), and random
 Voronoi step maps (12 sites drawn uniformly in the ball, each sending its
-cell to a value in a ball of radius eps/2, so eps = 0.8; seeds 0-5) in 4-
-and 8-D at gaps 1e-4 and 1e-8.  A third block of 28, also at that budget
-(OFFCENTRE_CASES, about 3 s of the 7-9 s in all on 2 vCPUs), moves the
-extremal map's fixed point off the origin (OffCentreMap): dims 4, 8 and
-16 at gaps 0.01, 1e-6 and 1e-10, seeds 0-2, and 24-D at gap 0.01, seed 0.
+cell to a value in a ball of radius eps/2, so eps = 0.8; seeds 0-5) in 4-,
+8- and 16-D at gaps 1e-4, 1e-8 and 1e-11 (VORONOI_GAPS).  A third block of
+28, also at that budget (OFFCENTRE_CASES, about 3 s of the 9-11 s in all
+on 2 vCPUs), moves the extremal map's fixed point off the origin
+(OffCentreMap): dims 4, 8 and 16 at gaps 0.01, 1e-6 and 1e-10, seeds 0-2,
+and 24-D at gap 0.01, seed 0.
 The origin is the first vertex every path samples, and there the
 origin-centred extremal map already displaces a sample by its bound
 eps/R: those rows measure the path, the off-centre rows the search.  Each
@@ -79,6 +80,9 @@ HUGE_BUDGET = 10**1000  # no cube of vertices exceeds it
 HUGE_EXTREMAL_GAPS = {12: (0.01, 1e-6, 1e-10, 1e-12), 16: (0.01, 1e-6, 1e-10, 1e-12),
                       24: (0.01, 1e-6, 1e-10, 1e-12), 32: (0.01, 1e-6, 1e-10, 1e-12),
                       48: (0.01,)}
+# The Voronoi rows, also at HUGE_BUDGET, seeds 0-5 each: (dimension, gap).
+VORONOI_GAPS = [(4, 1e-4), (4, 1e-8), (8, 1e-4), (8, 1e-8), (16, 1e-4), (16, 1e-8),
+                (4, 1e-11), (8, 1e-11), (16, 1e-11)]
 # The off-centre rows, also at HUGE_BUDGET: (dimension, gap, seed).
 OFFCENTRE_CASES = [(dim, gap, seed) for dim in (4, 8, 16) for gap in (0.01, 1e-6, 1e-10)
                    for seed in range(3)] + [(24, 0.01, 0)]
@@ -136,12 +140,11 @@ def cases():
         for gap in gaps:
             yield f"extremal-{dim}d-gap-{gap:g}", ExtremalMap(dim=dim, eps=1.0), dim, \
                 1.0 / jung_radius(dim) + gap, HUGE_BUDGET
-    for dim in (4, 8):
-        for gap in (1e-4, 1e-8):
-            for seed in range(6):
-                f = voronoi_map(seed, dim)
-                yield f"voronoi-{dim}d-seed-{seed}-gap-{gap:g}", f, dim, \
-                    f.eps / jung_radius(dim) + gap, HUGE_BUDGET
+    for dim, gap in VORONOI_GAPS:
+        for seed in range(6):
+            f = voronoi_map(seed, dim)
+            yield f"voronoi-{dim}d-seed-{seed}-gap-{gap:g}", f, dim, \
+                f.eps / jung_radius(dim) + gap, HUGE_BUDGET
     for dim, gap, seed in OFFCENTRE_CASES:
         yield f"offcentre-{dim}d-seed-{seed}-gap-{gap:g}", OffCentreMap(seed, dim), dim, \
             1.0 / jung_radius(dim) + gap, HUGE_BUDGET

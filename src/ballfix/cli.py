@@ -79,10 +79,14 @@ def load_sampled_map(path: str) -> maps.SampledMap:
         if type(version) is not int or version != SCHEMA_VERSION:  # not true, 1.0 or "1"
             raise DomainError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         dim = check_dim(raw["dim"])
-        points = np.asarray(raw["points"], dtype=float)
+        points, values = np.asarray(raw["points"]), np.asarray(raw["values"])
+        for key, value in (("points", points), ("values", values), ("eps", raw.get("eps")),
+                           ("covering_radius", raw["covering_radius"])):  # float() reads "1", true
+            if value is not None and np.asarray(value).dtype.kind not in "iuf":
+                raise DomainError(f"{key} must be numeric, got dtype {np.asarray(value).dtype}")
         if points.ndim != 2 or points.shape[1] != dim:
             raise DomainError(f"points must be an (m, {dim}) array")
-        return maps.SampledMap(points, raw["values"], covering_radius=raw["covering_radius"],
+        return maps.SampledMap(points, values, covering_radius=raw["covering_radius"],
                                eps=raw.get("eps"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sampled-map file {path}: {exc}") from exc

@@ -88,7 +88,7 @@ def as_vector(coords) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise InvalidDimensionError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):  # numpy's isfinite costs more on a short vector
         raise ValueError("vector coordinates must be finite")
     return v
 
@@ -220,14 +220,14 @@ def ball_lattice(pts: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarra
             np.concatenate([pts[inside], pts[shell] / norms[shell, None]], axis=0))
 
 
-def check_grid_budget(per_axis: int, dim: int, budget: int, what: str = "") -> None:
+def check_grid_budget(per_axis: int, dim: int, budget: int, alpha: float | None = None) -> None:
     """DomainError for a budget below 1 or NaN; BudgetExceededError if per_axis^dim exceeds it."""
     if not budget >= 1:  # NaN too
         raise DomainError(f"grid budget must be at least 1, got {budget}")
     if per_axis ** dim > budget:
         raise BudgetExceededError(
-            f"grid{what} of {per_axis}^{dim} points exceeds the budget of {budget}",
-            limit=budget, required=per_axis ** dim)
+            f"grid{'' if alpha is None else f' for alpha={alpha}'} of {per_axis}^{dim} points "
+            f"exceeds the budget of {budget}", limit=budget, required=per_axis ** dim)
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ class ConvexCombination:
 
 def check_weights(weights: list[float]) -> None:
     """Strictly positive weights summing to one within TOL_WEIGHTS, or InvalidCombinationError."""
-    if not all(w > 0 for w in weights):
+    if not all(map((0.0).__lt__, weights)):  # NaN fails too
         raise InvalidCombinationError("weights must be strictly positive")
     total = sum(weights)
     if abs(total - 1.0) > TOL_WEIGHTS:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul, sub
 
 import numpy as np
@@ -121,11 +121,13 @@ class PipelineParams:
                 f"eps_prime={self.eps_prime}; decrease alpha or fp_tol")
 
     @classmethod
+    @lru_cache(maxsize=256, typed=True)
     def derive(cls, dim: int, eps: float, eps_prime: float) -> PipelineParams:
         """A run's params: gamma an eighth of the slack R*eps_prime - eps, fp_tol
         min(1e-6, gamma/(2R)), alpha at most eps and alpha/2 99% of the room the
         chain leaves, halved while rounding keeps it open; HypothesisError for a
-        gap doubles cannot resolve (gamma rounds to 0, or no alpha closes it)."""
+        gap doubles cannot resolve (gamma rounds to 0, or no alpha closes it).
+        A scale is derived once (memoized by value and type) and shared: params are immutable."""
         radius = _check_hypothesis(dim, eps, eps_prime)
         # 1/8: the exact Jung check needs margin only for rounding; a failure halves alpha
         gamma = (radius * eps_prime - eps) / 8.0
@@ -190,15 +192,11 @@ class SampleGrid:
             raise BudgetExceededError(f"grid for alpha={alpha} needs a spacing of {spacing}, "
                                       "below double precision at any budget", limit=max_points)
         half_count = int(math.ceil(1.0 / spacing))
-        check_grid_budget(2 * half_count + 1, dim, max_points, f" for alpha={alpha}")
-        self.f = f
-        self.dim = dim
-        self.alpha = float(alpha)
-        self.spacing = spacing
+        check_grid_budget(2 * half_count + 1, dim, max_points, alpha)
+        self.f, self.dim, self.alpha, self.spacing = f, dim, float(alpha), spacing
         self._half_count = half_count
         self._slots: dict[tuple[int, ...], int] = {}
-        self._point_rows: list[list[float]] = []  # by slot
-        self._rows: list[list[float]] = []  # the value rows, by slot
+        self._point_rows, self._rows = [], []  # the point and value rows, by slot
         self._embedded: tuple[tuple[float, ...] | None, EmbeddedPoint | None] = (None, None)
 
     @property
@@ -216,22 +214,21 @@ class SampleGrid:
         """Slots of the vertices with the given distinct integer rows (tuples,
         lists or an integer array); f is evaluated in one batch at the
         projections of the new ones."""
-        keys = [tuple(k) for k in (ks.tolist() if isinstance(ks, np.ndarray) else ks)]
-        slots = [self._slots.get(key, -1) for key in keys]
-        if -1 in slots:
-            self._sample([key for key, slot in zip(keys, slots) if slot < 0])
-            slots = [self._slots[key] for key in keys]
-        return slots
+        keys = list(map(tuple, ks.tolist() if isinstance(ks, np.ndarray) else ks))
+        new = [key for key in keys if key not in self._slots]
+        if new:
+            self._sample(new)
+        return list(map(self._slots.__getitem__, keys))
 
     def _sample(self, keys: list[tuple[int, ...]]) -> None:
         """Slot the new distinct vertices `keys`, f evaluated in one batch."""
-        rows = [[k * self.spacing for k in key] for key in keys]
+        rows = [list(map(self.spacing.__mul__, key)) for key in keys]
         pts = np.array(rows)
-        if any(math.hypot(*row) > 1.0 - 1e-9 for row in rows):  # numpy's norm, for its bits
+        if max(map(math.hypot, *zip(*rows))) > 1.0 - 1e-9:  # numpy's norm, for its bits
             pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
             rows = pts.tolist()
         values = np.asarray(self.f.batch(pts), dtype=float).reshape(pts.shape).tolist()
-        if not all(math.hypot(*row) <= 1.0 + TOL_GEOM for row in values):  # NaN too
+        if not all(map((1.0 + TOL_GEOM).__ge__, map(math.hypot, *zip(*values)))):  # NaN too
             raise DomainError("some sample value lies outside the unit ball")
         self._slots.update(zip(keys, range(len(self._rows), len(self._rows) + len(keys))))
         self._point_rows += rows
@@ -384,12 +381,8 @@ def simplicial_image_check(grid: SampleGrid, bound: float) -> RipsEdgeViolation 
     if float(image_d[worst]) <= bound:
         return None
     i, j = int(pairs[worst, 0]), int(pairs[worst, 1])
-    return RipsEdgeViolation(
-        i=i,
-        j=j,
-        domain_distance=float(np.linalg.norm(points[i] - points[j])),
-        image_distance=float(image_d[worst]),
-    )
+    return RipsEdgeViolation(i, j, float(np.linalg.norm(points[i] - points[j])),
+                             float(image_d[worst]))
 
 
 def averaged_map_eval(y, grid: SampleGrid) -> np.ndarray:
@@ -425,27 +418,17 @@ def find_fixed_point(F, grid: SampleGrid,
     for the residual.
     """
     n, s = grid.dim, grid.spacing
-    # Distinct irrational fractional parts keep each start facet nondegenerate.
-    offset = [1e-3 * ((i * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0) for i in range(1, n + 1)]
-
-    def start(y: list[float], step: int) -> list[float]:
-        c = [x + step * s * o for x, o in zip(y, offset)]
-        # In the ball, so that every zero on the path is too (scaled by
-        # numpy's norm, for the bits, in the rare case that it leaves).
-        if math.hypot(*c) > 1.0 - 1e-9:
-            c = (np.array(c) / max(1.0, float(np.linalg.norm(c)))).tolist()
-        return c
-
-    y, pivots, reached = [0.0] * n, 0, True
-    direct = _kuhn_fixed_point(grid, start(y, 1))
-    top = max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
+    y, pivots, reached = (0.0,) * n, 0, True
+    direct = _kuhn_fixed_point(grid, _start(y, s))
+    top = 0 if direct else max(0, round(math.log2(0.5 / (math.sqrt(n) * s))))
     pending = [] if direct else sorted({2 ** max(top - 2 * j, 0) for j in range(top + 1)})
     while pending and direct is None and reached:
         step = pending.pop()
-        y, used, reached, flat = _merrill_path(grid, step, start(y, step), max_pivots - pivots)
+        y, used, reached, flat = _merrill_path(grid, step, _start(tuple(y), step * s),
+                                               max_pivots - pivots)
         pivots += used
         if reached and flat and pending:
-            direct = _kuhn_fixed_point(grid, start(y, 1))
+            direct = _kuhn_fixed_point(grid, _start(tuple(y), s))
     y = np.array(y if direct is None else direct)
     r = F(y) - y
     residual = math.sqrt(r.dot(r))  # np.linalg.norm's own formula, so its bits
@@ -455,6 +438,24 @@ def find_fixed_point(F, grid: SampleGrid,
             "at its last point",
             best_point=y, best_residual=residual)
     return FixedPointResult(y, residual, pivots)
+
+
+# The start of a solve or path in cells of spacing h at y: y moved by distinct
+# irrational fractions of a cell (start facets stay nondegenerate), in the ball
+# by numpy's norm (so is every zero on the path).  Memoized with its Kuhn simplex
+# (as tuples, as it is shared): every run at one scale starts at the origin.
+@lru_cache(maxsize=256)
+def _start(y: tuple[float, ...], h: float) -> tuple[float, ...]:
+    c = tuple(x + h * (1e-3 * ((i * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0))
+              for i, x in enumerate(y, 1))
+    if math.hypot(*c) > 1.0 - 1e-9:
+        c = tuple((np.array(c) / max(1.0, float(np.linalg.norm(c)))).tolist())
+    return c
+
+
+@lru_cache(maxsize=256)
+def _start_simplex(c: tuple[float, ...], h: float):
+    return tuple(map(tuple, _kuhn_simplex([x / h for x in c])))
 
 
 def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
@@ -468,14 +469,15 @@ def _kuhn_fixed_point(grid: SampleGrid, c: list[float]) -> list[float] | None:
     the system, as it does the path's basis at every pivot, so the last bits
     of y are LAPACK's."""
     s = grid.spacing
-    vertices, _, _ = _kuhn_simplex([x / s for x in c])
+    vertices = _start_simplex(tuple(c), s)[0]
     values = [grid._rows[k] for k in grid.touch(vertices)]
-    columns = [[1.0] + [t - s * x for t, x in zip(value, v)] for value, v in zip(values, vertices)]
+    columns = [[1.0, *map(sub, value, map(s.__mul__, v))] for value, v in zip(values, vertices)]
     _, _, weights, info = dgesv(np.array(columns).T, [1.0] + [0.0] * grid.dim)
+    weights = weights.tolist()
     # singular (info > 0), or outside; a 0 on a face solves to about -1e-17: clip
-    if info or not all(w >= -1e-12 for w in weights.tolist()):
+    if info or not all(map((-1e-12).__le__, weights)):
         return None
-    return _barycentre(s, [max(w, 0.0) for w in weights.tolist()], vertices)
+    return _barycentre(s, [max(w, 0.0) for w in weights], vertices)
 
 
 def _barycentre(h: float, weights: list[float], vertices: list[tuple[int, ...]]) -> list[float]:
@@ -488,7 +490,7 @@ def _sum(xs) -> float:  # left to right from 0.0 on every Python: 3.12's sum com
     return reduce(add, xs, 0.0)
 
 
-def _merrill_path(grid: SampleGrid, step: int, c: list[float],
+def _merrill_path(grid: SampleGrid, step: int, c: tuple[float, ...],
                   max_pivots: int) -> tuple[list[float], int, bool, bool]:
     """Merrill's path on the Freudenthal triangulation of R^n x [0, 1] with
     spacing h = step * s in space and one step in time, from c.
@@ -509,8 +511,8 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
     # The slab simplex over the Kuhn simplex of c: its space axes, then time
     # (axis n).  A vertex is its grid row, the key of its sample, then its
     # level times step: a step along any axis adds +-step at that index.
-    vertices, axes, weights = _kuhn_simplex([x / h for x in c])
-    perm = axes + [n]
+    vertices, axes, weights = _start_simplex(tuple(c), h)
+    perm = [*axes, n]
     verts = [tuple([step * x for x in v]) + (0,) for v in vertices]
     verts.append(verts[-1][:n] + (step,))
     # The path mostly ends over the start simplex: sample its vertices in one batch.
@@ -528,7 +530,7 @@ def _merrill_path(grid: SampleGrid, step: int, c: list[float],
 
     for pivots in range(1, max_pivots + 1):
         v = verts[enter]
-        rhs[:, 1] = [1.0] + [t - s * x for t, x in zip(grid.value(v[:n]) if v[n] else c, v)]
+        rhs[:, 1] = [1.0, *map(sub, grid.value(v[:n]) if v[n] else c, map(s.__mul__, v))]
         # The zero's weights w = B^-1 e_0 and d = B^-1 a, from a fresh LU of
         # the basis B at every pivot: an inverse carried from pivot to pivot
         # drifts, as the basis has condition about 1/h.
@@ -617,16 +619,8 @@ def extract_certificate(fp: FixedPointResult, grid: SampleGrid,
     if not displacement < params.eps_prime:
         raise CertificateError(
             f"certified displacement {displacement} is not below eps_prime={params.eps_prime}")
-    return EpsFixedPointCertificate(
-        z=np.array(z),
-        fz=np.array(fz),
-        displacement=displacement,
-        bound=params.eps_prime,
-        trace=fp,
-        support_index=i,
-        jung_term=jung_term,
-        anchor_term=anchor_term,
-    )
+    return EpsFixedPointCertificate(np.array(z), np.array(fz), displacement, params.eps_prime,
+                                    fp, i, jung_term, anchor_term)
 
 
 @dataclass(frozen=True)
@@ -649,7 +643,8 @@ def run_pipeline(f, dim: int, eps: float, eps_prime: float,
     alpha.  extract_certificate certifies the fixed point of the averaged
     map on the lazy grid; while its Jung check fails alpha is halved, until
     the grid budget stops a map that is not eps-continuous.  The
-    certificate's displacement is re-evaluated directly on f.
+    certificate's displacement is re-evaluated directly on f.  What precedes f
+    depends on the scale alone, so is derived once per scale and shared (immutable).
     """
     params = PipelineParams.derive(dim, eps, eps_prime)
     while True:

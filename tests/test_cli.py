@@ -169,7 +169,19 @@ def _step_map_record(**changes) -> dict:
     # NaN fails every comparison, so a check of `radius < 0` lets it pass
     # and the run certifies under a covering claim nothing can check
     ({"covering_radius": math.nan}, "covering radius must be nonnegative, got nan"),
-    ({"eps": "x"}, "could not convert string to float: 'x'"),
+    ({"eps": "x"}, "eps must be numeric, got dtype <U1"),
+    # float() would read these as 0.2, 1.0 and 0.25, and the run certify;
+    # each field is checked by the dtype numpy infers for it
+    ({"eps": "0.2"}, "eps must be numeric, got dtype <U3"),
+    ({"eps": True}, "eps must be numeric, got dtype bool"),
+    ({"covering_radius": "0.25"}, "covering_radius must be numeric, got dtype <U4"),
+    ({"covering_radius": True}, "covering_radius must be numeric, got dtype bool"),
+    ({"points": [["-1"], ["-0.5"], ["0"], ["0.5"], ["1"]]},
+     "points must be numeric, got dtype <U4"),
+    ({"values": [[True], [True], [True], [False], [False]]},
+     "values must be numeric, got dtype bool"),
+    ({"values": [[0.5], [0.5], [None], [-0.5], [-0.5]]},
+     "values must be numeric, got dtype object"),
     ({"eps": 3.0}, "discontinuity scale must lie in (0, 2.0], got 3.0"),
     ({"points": [[-1.0], [-0.5], [0.0], [0.5], [1.5]]},
      "some sample point of norm 1.5 lies outside the unit ball"),
@@ -184,7 +196,9 @@ def _step_map_record(**changes) -> dict:
     # a file of another schema, or of none, is not read as this one
     ({"schema_version": 99}, "schema_version must be 1, got 99"),
     ({"schema_version": None}, "'schema_version'"),
-], ids=["nan-covering-radius", "eps-no-number", "eps-above-2", "point-outside-the-ball",
+], ids=["nan-covering-radius", "eps-no-number", "eps-string", "eps-true",
+        "covering-radius-string", "covering-radius-true", "string-points", "bool-values",
+        "null-value", "eps-above-2", "point-outside-the-ball",
         "nan-point", "dim-1.9", "dim-true", "dim-string", "dim-2-for-1d-points",
         "flat-points", "values-not-parallel", "schema-version-99", "no-schema-version"])
 def test_a_rejected_map_file_names_itself(tmp_path, capsys, changes, message):

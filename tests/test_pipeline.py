@@ -72,9 +72,10 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_a_run_checks_its_hypothesis_and_computes_r_once(monkeypatch):
-    # PipelineParams.derive checks the hypothesis and keeps R; the chain,
-    # the Jung bound and the run's own params read it, and the extremal
-    # map's batches read the image it computed at construction
+    # PipelineParams.derive checks the hypothesis and keeps R, once per
+    # scale; the chain, the Jung bound and the run's own params read it, and
+    # the extremal map's batches read the image it computed at construction
+    PipelineParams.derive.cache_clear()
     f = ExtremalMap(dim=3, eps=1.0)
     calls = {}
     _counting(monkeypatch, pipeline, "jung_radius", calls)
@@ -86,6 +87,54 @@ def test_a_run_checks_its_hypothesis_and_computes_r_once(monkeypatch):
     assert run.params.radius == jung_radius(3)
     assert sorted(dataclasses.asdict(run.params)) == [
         "alpha", "dim", "eps", "eps_prime", "fp_tol", "gamma"]
+    calls.clear()
+    again = run_pipeline(f, 3, 1.0, 0.75)  # the same scale: derived already
+    assert calls == {} and again.params is run.params
+    assert again.certificate.z.tolist() == run.certificate.z.tolist()
+    run_pipeline(f, 3, 1.0, 0.8)  # a new scale
+    assert calls == {"jung_radius": 1, "_check_hypothesis": 1}
+
+
+def test_derived_params_keep_their_callers_types():
+    # the memo keys on types as well as values: 1 == 1.0, but an int eps
+    # reports as an int
+    PipelineParams.derive.cache_clear()
+    for first, second in ((1, 1.0), (1.0, 1), (np.float64(1.0), 1.0)):
+        for eps in (first, second, first):
+            params = PipelineParams.derive(1, eps, 0.6)
+            assert type(dataclasses.asdict(params)["eps"]) is type(eps)
+            assert params.alpha == PipelineParams.derive(1, 1.0, 0.6).alpha
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((1, 1.0, 0.5), HypothesisError, "must exceed eps/jung_radius"),
+    ((1, 1.0, 1e308), DomainError, "overflows the slack"),
+    ((1, 3.0, 2.0), DomainError, "discontinuity scale must lie in"),
+    ((0, 1.0, 0.6), InvalidDimensionError, "dimension must be a positive integer"),
+    ((2, 1.0, 1.0 / math.sqrt(3.0) + 1e-17), HypothesisError, "must exceed"),
+])
+def test_an_invalid_scale_raises_the_same_error_on_every_call(monkeypatch, args, error,
+                                                               message):
+    # errors are not memoized: each call checks the hypothesis afresh
+    PipelineParams.derive.cache_clear()
+    calls = {}
+    _counting(monkeypatch, pipeline, "_check_hypothesis", calls)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error, match=message) as exc:
+            PipelineParams.derive(*args)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised == raised[:1] * 3
+    assert calls == {"_check_hypothesis": 3}
+    assert PipelineParams.derive.cache_info().currsize == 0
+
+
+def test_the_memo_of_scales_is_bounded():
+    PipelineParams.derive.cache_clear()
+    bound = PipelineParams.derive.cache_info().maxsize
+    for k in range(bound + 10):
+        PipelineParams.derive(1, 1.0, 0.6 + k * 1e-3)
+    assert PipelineParams.derive.cache_info().currsize == bound
 
 
 class SteepMap1D:
@@ -111,6 +160,19 @@ def test_the_jung_retry_halves_alpha_exactly_and_keeps_gamma_and_fp_tol():
     assert run.params == dataclasses.replace(first, alpha=first.alpha / 4.0)
     assert run.params.radius == first.radius
     assert run.displacement_recheck < 0.06
+
+
+def test_a_jung_retry_never_comes_back_from_the_memo():
+    # the halved params of a retry belong to that run: the next run at the
+    # scale starts again from the derived alpha and halves it again
+    PipelineParams.derive.cache_clear()
+    first = PipelineParams.derive(1, 0.1, 0.06)
+    runs = [run_pipeline(SteepMap1D(40.0, 0.3141592), 1, 0.1, 0.06) for _ in range(2)]
+    assert PipelineParams.derive(1, 0.1, 0.06) is first
+    assert first.alpha == runs[0].params.alpha * 4.0
+    assert runs[0].params == runs[1].params and runs[0].params is not runs[1].params
+    assert runs[0].certificate.z.tolist() == runs[1].certificate.z.tolist()
+    assert PipelineParams.derive.cache_info().currsize == 1
 
 
 def test_the_retry_params_are_those_built_directly():

@@ -1,9 +1,10 @@
 """The reach gate: bench/reach.py rerun against the committed
 BENCH_pipeline.json.  It fails on a wrong certificate or an exception, on
 a changed outcome, grid budget or certificate (alpha, displacement), and
-on grown f-evaluations or pivots, over all 126 reach cases: 57 under the
-default grid budget and 69 at a huge one, in up to 48-D, 28 of them with
-the fixed point off the origin (about seven to nine seconds on 2 vCPUs)."""
+on grown f-evaluations or pivots, over all 156 reach cases: 57 under the
+default grid budget and 99 at a huge one, in up to 48-D, 28 of them with
+the fixed point off the origin and 54 random Voronoi maps (about nine to
+eleven seconds on 2 vCPUs)."""
 
 import subprocess
 import sys
